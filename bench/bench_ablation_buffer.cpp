@@ -3,8 +3,9 @@
 //
 // Scenario: the importer is slower than the exporter (the Fig. 4(a)
 // regime, where the buffer grows without bound). We sweep the per-process
-// snapshot cap and report peak occupancy, backpressure stalls, and the
-// end-to-end completion time — the buffer/throughput trade-off.
+// memory budget with no spill tier (so the budget is a hard cap that
+// stalls the exporter) and report peak occupancy, backpressure stalls,
+// and the end-to-end completion time — the buffer/throughput trade-off.
 #include <cstdio>
 #include <iostream>
 
@@ -32,7 +33,7 @@ int main(int argc, char** argv) {
     p.rows = p.cols = cli.get_int("rows");
     p.importer_procs = static_cast<int>(cli.get_int("importers"));
     p.num_exports = static_cast<int>(cli.get_int("exports"));
-    p.buffer_cap_snapshots = static_cast<std::size_t>(cap);
+    p.memory_budget_snapshots = static_cast<std::size_t>(cap);  // no spill directory
     const auto r = ccf::sim::run_microbench(p);
     const std::size_t snapshot_bytes =
         r.slow_stats.buffer.peak_entries > 0 && r.slow_stats.buffer.peak_bytes > 0

@@ -34,7 +34,10 @@ BENCHMARK(BM_StoreAndFree)
 
 /// Steady-state store/drop against one persistent pool: after the first
 /// iteration every frame comes from the arena free list, so the loop does
-/// one memcpy and zero heap allocation. allocs_per_store approaches 0.
+/// one memcpy and allocates no snapshot buffer; each store still allocates
+/// the small shared handle that in-flight payloads alias.
+/// allocs_per_store counts buffer allocations (arena misses) and
+/// approaches 0.
 void BM_StoreRecycleArena(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
   std::vector<double> block(count, 1.5);

@@ -1,5 +1,5 @@
 // Matcher scaling suite: the interval-indexed batch engine vs the
-// preserved linear engine (core/naive_matcher.hpp) on identical
+// preserved linear engine (tests/support/naive_matcher.hpp) on identical
 // protocol-shaped workloads, up to 10^5 exports per row.
 //
 // Workload: a strictly increasing export stream and a request stream that
@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "core/matcher.hpp"
-#include "core/naive_matcher.hpp"
+#include "support/naive_matcher.hpp"
 #include "util/rng.hpp"
 
 namespace {

@@ -5,7 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "simtime/virtual_cluster.hpp"
-#include "transport/network.hpp"
+#include "transport/fabric.hpp"
 #include "transport/serialize.hpp"
 
 namespace {
@@ -107,22 +107,22 @@ void BM_PayloadSliceForward(benchmark::State& state) {
 }
 BENCHMARK(BM_PayloadSliceForward);
 
-void BM_NetworkSend(benchmark::State& state) {
-  Network net;
-  net.register_process(0);
-  auto box = net.register_process(1);
+void BM_FabricSend(benchmark::State& state) {
+  FabricTransport fabric({0, 1});
+  auto sender = fabric.attach(0);
+  auto receiver = fabric.attach(1);
   Message m;
   m.src = 0;
   m.dst = 1;
   m.tag = 3;
   m.payload = empty_payload();
   for (auto _ : state) {
-    net.send(m);
-    benchmark::DoNotOptimize(box->receive(MatchSpec{}));
+    sender->send(m);
+    benchmark::DoNotOptimize(receiver->inbox().receive(MatchSpec{}));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_NetworkSend);
+BENCHMARK(BM_FabricSend);
 
 void BM_VirtualClusterEvents(benchmark::State& state) {
   // Event throughput of the deterministic scheduler: P processes doing a

@@ -25,29 +25,29 @@ void BufferPool::set_arena_limits(std::size_t max_frames, std::size_t max_bytes)
   // Shrink an already-parked surplus (limits may tighten mid-run).
   while (arena_.size() > arena_max_frames_ ||
          (arena_max_bytes_ > 0 && arena_bytes_ > arena_max_bytes_)) {
-    arena_bytes_ -= arena_.back()->capacity;
+    arena_bytes_ -= arena_.back().capacity;
     arena_.pop_back();
   }
 }
 
-void BufferPool::park_frame(std::shared_ptr<SnapshotFrame> frame) {
+void BufferPool::park_frame(SnapshotFrame frame) {
   if (arena_.size() >= arena_max_frames_) return;
-  if (arena_max_bytes_ > 0 && arena_bytes_ + frame->capacity > arena_max_bytes_) return;
-  arena_bytes_ += frame->capacity;
+  if (arena_max_bytes_ > 0 && arena_bytes_ + frame.capacity > arena_max_bytes_) return;
+  arena_bytes_ += frame.capacity;
   arena_.push_back(std::move(frame));
 }
 
 std::shared_ptr<BufferPool::SnapshotFrame> BufferPool::acquire_frame(std::size_t frame_bytes) {
   // Best fit from the free list: smallest recycled frame that holds the
   // request. Steady-state coupling stores same-sized snapshots, so this
-  // is a hit (and zero heap traffic) after the first few exports.
+  // is a hit (and no buffer allocation) after the first few exports.
   auto best = arena_.end();
   for (auto it = arena_.begin(); it != arena_.end(); ++it) {
-    if ((*it)->capacity < frame_bytes) continue;
-    if (best == arena_.end() || (*it)->capacity < (*best)->capacity) best = it;
+    if (it->capacity < frame_bytes) continue;
+    if (best == arena_.end() || it->capacity < best->capacity) best = it;
   }
   if (best != arena_.end()) {
-    std::shared_ptr<SnapshotFrame> frame = std::move(*best);
+    auto frame = std::make_shared<SnapshotFrame>(std::move(*best));
     arena_bytes_ -= frame->capacity;
     arena_.erase(best);
     frame->size = frame_bytes;
@@ -217,8 +217,16 @@ void BufferPool::free_entry_locked(std::map<Timestamp, Entry>::iterator it) {
   // Recycle the frame only when the pool holds the last reference: an
   // in-flight payload still aliasing it must keep its bytes intact, so
   // such a frame is simply released (the payload frees it when done).
-  if (it->second.frame.use_count() == 1) {
-    park_frame(std::move(it->second.frame));
+  // use_count() is a relaxed load and orders nothing, while the last
+  // reader may have run on another thread (an importer unpacking a
+  // zero-copy frame, the TCP io thread writing one out). So only the
+  // bytes are parked: dropping the handle is an acquire on the count each
+  // reader released, and the bytes are written again only after it.
+  std::shared_ptr<SnapshotFrame>& frame = it->second.frame;
+  if (frame.use_count() == 1) {
+    SnapshotFrame parked = std::move(*frame);
+    frame.reset();
+    park_frame(std::move(parked));
   }
   entries_.erase(it);
 }

@@ -13,7 +13,9 @@
 // transport::Payload, so a full-box transfer ships the pooled snapshot
 // itself — zero extra copies, one buffer shared across every destination
 // rank and connection. Freed frames are recycled through a small arena
-// free list, so steady-state exporting performs no heap allocation at all.
+// free list, so steady-state exporting allocates no snapshot buffers; a
+// store allocates only the small shared handle that in-flight payloads
+// alias (see free_entry_locked for why the handle is not recycled).
 //
 // The pool charges the modeled copy cost through ProcessContext::copy, so
 // the virtual-time experiments see the same buffering cost structure the
@@ -182,7 +184,8 @@ class BufferPool {
   };
 
   struct Entry {
-    std::shared_ptr<SnapshotFrame> frame;  ///< null while spilled
+    /// Shared with in-flight payloads aliasing the frame; null while spilled.
+    std::shared_ptr<SnapshotFrame> frame;
     std::size_t count = 0;  ///< element count (frame holds prefix + these)
     ConnMask needed = 0;
     bool ever_sent = false;
@@ -195,11 +198,11 @@ class BufferPool {
   static constexpr std::size_t kArenaCapacity = 8;
 
   std::shared_ptr<SnapshotFrame> acquire_frame(std::size_t frame_bytes);
-  void park_frame(std::shared_ptr<SnapshotFrame> frame);
+  void park_frame(SnapshotFrame frame);
   void free_entry_locked(std::map<Timestamp, Entry>::iterator it);
 
   std::map<Timestamp, Entry> entries_;
-  std::vector<std::shared_ptr<SnapshotFrame>> arena_;
+  std::vector<SnapshotFrame> arena_;
   std::size_t arena_bytes_ = 0;  ///< capacity bytes parked across arena_
   std::size_t arena_max_frames_ = kArenaCapacity;
   std::size_t arena_max_bytes_ = 0;  ///< 0 = no byte cap

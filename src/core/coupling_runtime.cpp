@@ -476,38 +476,30 @@ void CouplingRuntime::export_region(const std::string& name, Timestamp t,
   }
   drain_control();
 
-  // Finite buffer space (paper §6) and buffer governance (src/mem): when
-  // the next snapshot would exceed the per-region cap or the process-wide
-  // budget, first demote cold-but-matchable snapshots to the spill tier
-  // (decidability-ranked, no protocol effect), then block on framework
-  // traffic — an import request advances the low-water mark and frees
-  // snapshots; an importer departure releases a whole connection.
-  // Stalling is skipped when this process itself must advance to unblock
-  // the system (see ExportRegionState::safe_to_stall), and when waiting
-  // cannot possibly create room (the snapshot alone exceeds the budget):
-  // then the budget is exceeded softly, with pressure raised — the
-  // degraded bounded-buffering mode — rather than deadlocking the
-  // collective protocol.
-  const std::size_t snap_bytes = region.state->snapshot_bytes();
-  auto shed_shortfall = [&] {
-    if (governor_ == nullptr) return;
-    const std::size_t need = governor_->shortfall(snap_bytes);
-    if (need > 0) region.state->shed(need);
-  };
-  auto over_limit = [&]() -> bool {
-    if (options_.max_buffered_bytes > 0 &&
-        region.state->buffered_bytes() + snap_bytes > options_.max_buffered_bytes) {
-      return true;
-    }
-    if (governor_ != nullptr) {
+  // Finite buffer space (paper §6) is the memory budget (src/mem): when
+  // the next snapshot would exceed it, first demote cold-but-matchable
+  // snapshots to the spill tier if there is one (decidability-ranked, no
+  // protocol effect), then block on framework traffic — an import request
+  // advances the low-water mark and frees snapshots; an importer
+  // departure releases a whole connection. Stalling is skipped when this
+  // process itself must advance to unblock the system (see
+  // ExportRegionState::safe_to_stall), and when waiting cannot possibly
+  // create room (the snapshot alone exceeds the budget): then the budget
+  // is exceeded softly, with pressure raised — the degraded
+  // bounded-buffering mode — rather than deadlocking the collective
+  // protocol.
+  if (governor_ != nullptr) {
+    const std::size_t snap_bytes = region.state->snapshot_bytes();
+    auto shed_shortfall = [&] {
       const std::size_t need = governor_->shortfall(snap_bytes);
-      // Stall only while freeing/spilling what is charged could cover the
-      // shortfall; otherwise no amount of waiting makes this snapshot fit.
-      if (need > 0 && need <= governor_->stats().charged_bytes) return true;
-    }
-    return false;
-  };
-  if (options_.max_buffered_bytes > 0 || governor_ != nullptr) {
+      if (need > 0) region.state->shed(need);
+    };
+    // Stall only while freeing/spilling what is charged could cover the
+    // shortfall; otherwise no amount of waiting makes this snapshot fit.
+    auto over_limit = [&] {
+      const std::size_t need = governor_->shortfall(snap_bytes);
+      return need > 0 && need <= governor_->stats().charged_bytes;
+    };
     shed_shortfall();
     // In failure-tolerant mode the stall is bounded: past the deadline we
     // assume the importing program died without a departure notice,

@@ -115,9 +115,6 @@ class ExportRegionState {
   /// No-op without a spill store.
   std::size_t shed(std::size_t bytes_needed);
 
-  /// Live *resident* buffered bytes in this region's pool.
-  std::size_t buffered_bytes() const { return pool_.stats().live_bytes; }
-
   /// Bytes one snapshot of this process's block occupies.
   std::size_t snapshot_bytes() const {
     return static_cast<std::size_t>(local_box_.count()) * sizeof(double);

@@ -29,9 +29,9 @@
 //     binary search before any further decidability test.
 //
 // The naive reference implementation (linear window scans, per-request
-// re-evaluation) is preserved verbatim as NaiveHistory
-// (core/naive_matcher.hpp) and differentially fuzzed against this engine
-// in tests/core/matcher_fuzz_test.cpp.
+// re-evaluation) is preserved verbatim in the test-support library
+// (tests/support/naive_matcher.hpp) and differentially fuzzed against
+// this engine in tests/core/matcher_fuzz_test.cpp.
 #pragma once
 
 #include <cstdint>

@@ -11,7 +11,11 @@ namespace ccf::core {
 /// baseline — byte for byte.
 struct MemoryOptions {
   /// Per-process byte budget for resident snapshot frames, spanning all
-  /// of the process's exported regions. 0 = governance off.
+  /// of the process's exported regions. 0 = governance off. This is the
+  /// one buffer limit: an export that would exceed it first spills cold
+  /// snapshots (when spill_directory is set), then stalls the exporter
+  /// on framework traffic until requests free space. Without a spill
+  /// directory it is the paper's finite buffer space (§6).
   std::size_t budget_bytes = 0;
 
   /// Watermarks as fractions of the budget (0 <= low <= high <= 1).
@@ -60,16 +64,9 @@ struct FrameworkOptions {
   /// Cap on recorded trace events per process.
   std::size_t trace_max_events = 1 << 20;
 
-  /// Finite buffer space (paper §6 future work): per-process, per-region
-  /// cap on buffered snapshot bytes. 0 = unlimited. When an export would
-  /// exceed the cap, the exporting process *stalls*, serving framework
-  /// control traffic (requests advance the low-water mark and free
-  /// snapshots; importer departures release whole connections) until the
-  /// new snapshot fits. Stall counts/time are recorded in the stats.
-  std::size_t max_buffered_bytes = 0;
-
-  /// Buffer governance: budget, watermarks, spill tier, backpressure
-  /// throttle, and arena caps. All off by default.
+  /// Buffer governance: the memory budget (finite buffer space),
+  /// watermarks, spill tier, backpressure throttle, and arena caps. All
+  /// off by default.
   MemoryOptions memory;
 
   /// Modeled dispatch cost charged by rep shards and sub-reps per unit of
@@ -123,7 +120,7 @@ struct FrameworkOptions {
   /// meaningful. 0 = wait forever.
   double departure_timeout_seconds = 0;
 
-  /// An exporter stalled on max_buffered_bytes for this long with no
+  /// An exporter stalled on the memory budget for this long with no
   /// request traffic force-closes its connections (degraded, unconnected
   /// mode: later exports skip send/buffer work) instead of waiting
   /// forever on a dead importer. 0 = wait forever.

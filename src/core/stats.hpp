@@ -63,7 +63,7 @@ struct ExportRegionStats {
   std::uint64_t matcher_evaluations = 0;
   std::uint64_t matcher_pending = 0;
 
-  /// Finite-buffer backpressure (FrameworkOptions::max_buffered_bytes).
+  /// Finite-buffer backpressure (stalls on MemoryOptions::budget_bytes).
   std::uint64_t stalls = 0;
   double stall_seconds = 0;
 

@@ -1,5 +1,7 @@
 #include "mem/spill.hpp"
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -11,14 +13,17 @@ namespace ccf::mem {
 namespace fs = std::filesystem;
 
 namespace {
-// Several in-process "processes" (threads) may be configured with the same
-// spill directory; a global token keeps their file names disjoint.
+// Stores that share one spill directory must never share a file name:
+// in-process "processes" (threads) draw distinct tokens from this counter,
+// and forked processes, which inherit the counter, differ by pid.
 std::atomic<std::uint64_t> g_store_tokens{0};
 }  // namespace
 
 SpillStore::SpillStore(std::string directory)
     : dir_(std::move(directory)),
-      store_token_(g_store_tokens.fetch_add(1, std::memory_order_relaxed)) {
+      name_prefix_("s" + std::to_string(::getpid()) + "_" +
+                   std::to_string(g_store_tokens.fetch_add(1, std::memory_order_relaxed)) +
+                   "_") {
   CCF_REQUIRE(!dir_.empty(), "spill directory must be non-empty");
   std::error_code ec;
   fs::create_directories(dir_, ec);
@@ -35,9 +40,7 @@ SpillStore::~SpillStore() {
 }
 
 std::string SpillStore::path_of(std::uint64_t id) const {
-  return (fs::path(dir_) /
-          ("s" + std::to_string(store_token_) + "_" + std::to_string(id) + ".spill"))
-      .string();
+  return (fs::path(dir_) / (name_prefix_ + std::to_string(id) + ".spill")).string();
 }
 
 SpillStore::Ticket SpillStore::put(const std::byte* data, std::size_t bytes) {

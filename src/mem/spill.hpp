@@ -8,9 +8,10 @@
 // byte-identical, so aliased sends still ship exactly the snapshot the
 // importer expects).
 //
-// One file per ticket keeps the store trivially correct under the
-// framework's threaded execution modes: several in-process "processes"
-// may share one spill directory, so filenames carry a per-store token.
+// One file per ticket keeps the store trivially correct in every
+// execution mode: several processes — threads or forked OS processes —
+// may share one spill directory, so file names carry the pid and a
+// per-store token.
 // Tickets are released either on restore (the snapshot became a match) or
 // directly (a buddy-help answer or low-water advance proved it can never
 // match — the paper's minimal-copy set at work, one tier down).
@@ -68,7 +69,7 @@ class SpillStore {
   void erase(const Ticket& ticket);
 
   std::string dir_;
-  std::uint64_t store_token_;  ///< disambiguates stores sharing a directory
+  std::string name_prefix_;  ///< "s<pid>_<token>_": unique among stores sharing dir_
   std::uint64_t next_id_ = 0;
   SpillStats stats_;
 };

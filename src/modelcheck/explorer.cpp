@@ -1,5 +1,7 @@
 #include "modelcheck/explorer.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <filesystem>
 #include <memory>
@@ -73,8 +75,11 @@ Observation run_scenario(const Scenario& s) {
           static_cast<std::size_t>(e_decomp.box_of(r).count()) * sizeof(double));
     }
     fw.memory.budget_bytes = static_cast<std::size_t>(s.budget_snapshots) * max_block_bytes;
+    // Per process as well as per seed: concurrent explorers (parallel
+    // test binaries walking the same seeds) must not share, and remove,
+    // each other's directory.
     spill_dir = std::filesystem::temp_directory_path() /
-                ("ccf_mc_spill_" + std::to_string(s.seed));
+                ("ccf_mc_spill_" + std::to_string(::getpid()) + "_" + std::to_string(s.seed));
     fw.memory.spill_directory = spill_dir.string();
   }
 

@@ -14,71 +14,11 @@
 #include <thread>
 #include <utility>
 
-#include "transport/fault_transport.hpp"
 #include "util/check.hpp"
-#include "util/work.hpp"
 
 namespace ccf::runtime {
 
 namespace {
-
-using clock = std::chrono::steady_clock;
-
-/// Wall-clock context over a transport endpoint; semantics identical to
-/// ThreadCluster's context (the modes must be interchangeable).
-class ProcContext final : public ProcessContext {
- public:
-  ProcContext(ProcId id, std::shared_ptr<transport::Endpoint> endpoint,
-              clock::time_point epoch, const CopyCostModel& copy_cost)
-      : id_(id), endpoint_(std::move(endpoint)), epoch_(epoch), copy_cost_(copy_cost) {}
-
-  ProcId id() const override { return id_; }
-
-  void send(ProcId dst, Tag tag, Payload payload) override {
-    Message m;
-    m.src = id_;
-    m.dst = dst;
-    m.tag = tag;
-    m.payload = payload ? std::move(payload) : transport::empty_payload();
-    endpoint_->send(std::move(m));
-  }
-
-  Message recv(const MatchSpec& spec) override { return endpoint_->inbox().receive(spec); }
-
-  std::optional<Message> try_recv(const MatchSpec& spec) override {
-    return endpoint_->inbox().try_receive(spec);
-  }
-
-  bool probe(const MatchSpec& spec) override { return endpoint_->inbox().probe(spec); }
-
-  std::optional<Message> recv_until(const MatchSpec& spec, double deadline) override {
-    const auto abs_deadline =
-        epoch_ + std::chrono::duration_cast<clock::duration>(std::chrono::duration<double>(deadline));
-    return endpoint_->inbox().receive_until(spec, abs_deadline);
-  }
-
-  double now() const override {
-    return std::chrono::duration<double>(clock::now() - epoch_).count();
-  }
-
-  void compute(double seconds) override { util::spin_for_us(seconds * 1e6); }
-
-  void copy(void* dst, const void* src, std::size_t bytes) override {
-    std::memcpy(dst, src, bytes);
-  }
-
-  void charge_copy_cost(std::size_t) override {}
-
-  const CopyCostModel& copy_cost_model() const override { return copy_cost_; }
-
-  bool transport_pressure() const override { return endpoint_->under_pressure(); }
-
- private:
-  ProcId id_;
-  std::shared_ptr<transport::Endpoint> endpoint_;
-  clock::time_point epoch_;
-  const CopyCostModel& copy_cost_;
-};
 
 // Child -> launcher result record: [u8 status][u64 len][len bytes].
 // status 0 = success (bytes are the encoded results), 1 = error (bytes
@@ -131,37 +71,17 @@ bool read_record(int fd, std::uint8_t& status, std::vector<std::byte>& bytes) {
 
 }  // namespace
 
-ProcessCluster::ProcessCluster(ClusterOptions options) : options_(std::move(options)) {
+ProcessCluster::ProcessCluster(ClusterOptions options) : WallClockCluster(std::move(options)) {
   // The in-memory fabric cannot cross a process boundary; multi-process
   // mode always rides the real backend.
   options_.transport.kind = transport::TransportKind::Real;
 }
 
-void ProcessCluster::add_process(ProcId id, ProcessBody body) {
-  add_process(id, std::move(body), ResultChannel{});
-}
-
-void ProcessCluster::add_process(ProcId id, ProcessBody body, ResultChannel channel) {
-  CCF_REQUIRE(!ran_, "cannot add processes after run()");
-  CCF_REQUIRE(body != nullptr, "process body must be callable");
-  CCF_REQUIRE(id >= 0, "process id must be non-negative, got " << id);
-  CCF_REQUIRE(ids_.insert(id).second, "process id " << id << " already registered");
-  registrations_.push_back({id, std::move(body), std::move(channel)});
-}
-
 void ProcessCluster::run() {
-  CCF_REQUIRE(!ran_, "run() called twice");
-  CCF_REQUIRE(!registrations_.empty(), "no processes registered");
-  ran_ = true;
-
   // Everything shared — rings, doorbells, listeners, counters — exists
   // before the first fork, so children only inherit, never rendezvous on
   // creation order.
-  transport_ = transport::make_transport(options_.transport,
-                                         std::vector<ProcId>(ids_.begin(), ids_.end()));
-  std::shared_ptr<transport::Transport> fabric = transport_;
-  if (options_.faults != nullptr)
-    fabric = std::make_shared<transport::FaultTransport>(fabric, options_.faults);
+  const std::shared_ptr<transport::Transport> fabric = start();
 
   const std::size_t n = registrations_.size();
   std::vector<int> read_fd(n, -1), write_fd(n, -1);
@@ -172,7 +92,7 @@ void ProcessCluster::run() {
     write_fd[i] = fds[1];
   }
 
-  const auto epoch = clock::now();
+  const auto epoch = WallClock::now();
   std::vector<pid_t> pids(n, -1);
   // Fork every child before spawning any launcher-side thread: a fork
   // while another thread holds an allocator lock would deadlock the child.
@@ -192,7 +112,7 @@ void ProcessCluster::run() {
     std::vector<std::byte> result;
     try {
       Registration& reg = registrations_[i];
-      ProcContext ctx(reg.id, fabric->attach(reg.id), epoch, options_.copy_cost);
+      EndpointContext ctx(fabric->attach(reg.id), epoch, options_.copy_cost);
       reg.body(ctx);
       if (reg.channel.encode != nullptr) result = reg.channel.encode();
     } catch (const transport::MailboxClosed&) {
@@ -249,7 +169,7 @@ void ProcessCluster::run() {
     while (::waitpid(pids[i], &ws, 0) < 0 && errno == EINTR) {}
     exit_status[i] = ws;
   }
-  end_time_ = std::chrono::duration<double>(clock::now() - epoch).count();
+  end_time_ = std::chrono::duration<double>(WallClock::now() - epoch).count();
 
   // First reported error wins, matching the thread backend's contract.
   for (std::size_t i = 0; i < n; ++i) {
@@ -273,10 +193,6 @@ void ProcessCluster::run() {
     if (status[i] == kChildOk && registrations_[i].channel.decode != nullptr)
       registrations_[i].channel.decode(blobs[i]);
   }
-}
-
-transport::TransportCounters ProcessCluster::transport_counters() const {
-  return transport_ == nullptr ? transport::TransportCounters{} : transport_->counters();
 }
 
 }  // namespace ccf::runtime

@@ -3,8 +3,8 @@
 //
 // The launcher builds the RealTransport first (shared rings, doorbells,
 // TCP listeners, rendezvous file), then forks one child per registered
-// body. Children attach their endpoint, run the body against a wall-clock
-// context identical to ThreadCluster's, and ship their results back over
+// body. Children attach their endpoint, run the body against the same
+// EndpointContext ThreadCluster uses, and ship their results back over
 // a per-child pipe using the registration's ResultChannel (bodies are
 // closures writing into launcher-side slots; under fork those writes land
 // in copy-on-write memory, so the child re-encodes them explicitly).
@@ -15,38 +15,15 @@
 // thread backend; the launcher then rethrows the first error.
 #pragma once
 
-#include <memory>
-#include <set>
-#include <vector>
-
-#include "runtime/cluster.hpp"
-#include "transport/transport.hpp"
+#include "runtime/endpoint_context.hpp"
 
 namespace ccf::runtime {
 
-class ProcessCluster final : public Cluster {
+class ProcessCluster final : public WallClockCluster {
  public:
   explicit ProcessCluster(ClusterOptions options);
 
-  void add_process(ProcId id, ProcessBody body) override;
-  void add_process(ProcId id, ProcessBody body, ResultChannel channel) override;
   void run() override;
-  double end_time() const override { return end_time_; }
-  transport::TransportCounters transport_counters() const override;
-
- private:
-  struct Registration {
-    ProcId id;
-    ProcessBody body;
-    ResultChannel channel;  ///< encode/decode may both be null
-  };
-
-  ClusterOptions options_;
-  std::set<ProcId> ids_;
-  std::vector<Registration> registrations_;
-  std::shared_ptr<transport::Transport> transport_;  ///< built by run(), pre-fork
-  double end_time_ = 0.0;
-  bool ran_ = false;
 };
 
 }  // namespace ccf::runtime

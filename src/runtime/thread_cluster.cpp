@@ -1,113 +1,23 @@
 #include "runtime/thread_cluster.hpp"
 
-#include <algorithm>
-#include <cstring>
 #include <exception>
+#include <mutex>
 #include <thread>
-#include <utility>
-
-#include "transport/fault_transport.hpp"
-#include "util/check.hpp"
-#include "util/work.hpp"
 
 namespace ccf::runtime {
 
-namespace {
-
-using clock = std::chrono::steady_clock;
-
-class ThreadContext final : public ProcessContext {
- public:
-  ThreadContext(ProcId id, std::shared_ptr<transport::Endpoint> endpoint,
-                clock::time_point epoch, const CopyCostModel& copy_cost)
-      : id_(id), endpoint_(std::move(endpoint)), epoch_(epoch), copy_cost_(copy_cost) {}
-
-  ProcId id() const override { return id_; }
-
-  void send(ProcId dst, Tag tag, Payload payload) override {
-    Message m;
-    m.src = id_;
-    m.dst = dst;
-    m.tag = tag;
-    m.payload = payload ? std::move(payload) : transport::empty_payload();
-    endpoint_->send(std::move(m));
-  }
-
-  Message recv(const MatchSpec& spec) override { return endpoint_->inbox().receive(spec); }
-
-  std::optional<Message> try_recv(const MatchSpec& spec) override {
-    return endpoint_->inbox().try_receive(spec);
-  }
-
-  bool probe(const MatchSpec& spec) override { return endpoint_->inbox().probe(spec); }
-
-  std::optional<Message> recv_until(const MatchSpec& spec, double deadline) override {
-    const auto abs_deadline =
-        epoch_ + std::chrono::duration_cast<clock::duration>(std::chrono::duration<double>(deadline));
-    return endpoint_->inbox().receive_until(spec, abs_deadline);
-  }
-
-  double now() const override {
-    return std::chrono::duration<double>(clock::now() - epoch_).count();
-  }
-
-  void compute(double seconds) override { util::spin_for_us(seconds * 1e6); }
-
-  void copy(void* dst, const void* src, std::size_t bytes) override {
-    std::memcpy(dst, src, bytes);
-  }
-
-  void charge_copy_cost(std::size_t) override {
-    // Real mode: the actual operation already took real time; nothing to add.
-  }
-
-  const CopyCostModel& copy_cost_model() const override { return copy_cost_; }
-
-  bool transport_pressure() const override { return endpoint_->under_pressure(); }
-
- private:
-  ProcId id_;
-  std::shared_ptr<transport::Endpoint> endpoint_;
-  clock::time_point epoch_;
-  const CopyCostModel& copy_cost_;
-};
-
-}  // namespace
-
-ThreadCluster::ThreadCluster(ClusterOptions options) : options_(std::move(options)) {}
-
-void ThreadCluster::add_process(ProcId id, ProcessBody body) {
-  CCF_REQUIRE(!ran_, "cannot add processes after run()");
-  CCF_REQUIRE(body != nullptr, "process body must be callable");
-  CCF_REQUIRE(id >= 0, "process id must be non-negative, got " << id);
-  CCF_REQUIRE(ids_.insert(id).second, "process id " << id << " already registered");
-  registrations_.push_back({id, std::move(body)});
-}
-
 void ThreadCluster::run() {
-  CCF_REQUIRE(!ran_, "run() called twice");
-  CCF_REQUIRE(!registrations_.empty(), "no processes registered");
-  ran_ = true;
-
-  // The transport is built at run() so the membership is complete, and
-  // kept on the cluster so counters survive the run. Faults compose as a
-  // decorator over whichever backend was selected.
-  transport_ = transport::make_transport(options_.transport,
-                                         std::vector<ProcId>(ids_.begin(), ids_.end()));
-  std::shared_ptr<transport::Transport> fabric = transport_;
-  if (options_.faults != nullptr)
-    fabric = std::make_shared<transport::FaultTransport>(fabric, options_.faults);
-
-  const auto epoch = clock::now();
+  const std::shared_ptr<transport::Transport> fabric = start();
+  const auto epoch = WallClock::now();
   std::mutex error_mutex;
   std::exception_ptr first_error;
 
   std::vector<std::thread> threads;
   threads.reserve(registrations_.size());
   for (auto& reg : registrations_) {
-    threads.emplace_back([&, this, fabric] {
+    threads.emplace_back([&, this] {
       try {
-        ThreadContext ctx(reg.id, fabric->attach(reg.id), epoch, options_.copy_cost);
+        EndpointContext ctx(fabric->attach(reg.id), epoch, options_.copy_cost);
         reg.body(ctx);
       } catch (const transport::MailboxClosed&) {
         // Teardown path after another process failed; keep the first error.
@@ -119,13 +29,9 @@ void ThreadCluster::run() {
     });
   }
   for (auto& t : threads) t.join();
-  end_time_ = std::chrono::duration<double>(clock::now() - epoch).count();
+  end_time_ = std::chrono::duration<double>(WallClock::now() - epoch).count();
 
   if (first_error) std::rethrow_exception(first_error);
-}
-
-transport::TransportCounters ThreadCluster::transport_counters() const {
-  return transport_ == nullptr ? transport::TransportCounters{} : transport_->counters();
 }
 
 }  // namespace ccf::runtime

@@ -3,38 +3,15 @@
 // backend), with wall-clock timing and real memcpys.
 #pragma once
 
-#include <chrono>
-#include <memory>
-#include <mutex>
-#include <set>
-#include <vector>
-
-#include "runtime/cluster.hpp"
-#include "transport/transport.hpp"
+#include "runtime/endpoint_context.hpp"
 
 namespace ccf::runtime {
 
-class ThreadCluster final : public Cluster {
+class ThreadCluster final : public WallClockCluster {
  public:
-  explicit ThreadCluster(ClusterOptions options);
+  explicit ThreadCluster(ClusterOptions options) : WallClockCluster(std::move(options)) {}
 
-  void add_process(ProcId id, ProcessBody body) override;
   void run() override;
-  double end_time() const override { return end_time_; }
-  transport::TransportCounters transport_counters() const override;
-
- private:
-  struct Registration {
-    ProcId id;
-    ProcessBody body;
-  };
-
-  ClusterOptions options_;
-  std::set<ProcId> ids_;
-  std::vector<Registration> registrations_;
-  std::shared_ptr<transport::Transport> transport_;  ///< built by run()
-  double end_time_ = 0.0;
-  bool ran_ = false;
 };
 
 }  // namespace ccf::runtime

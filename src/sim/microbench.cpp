@@ -45,9 +45,6 @@ MicrobenchResult run_microbench(const MicrobenchParams& params) {
   const double unit = cluster_options.copy_cost.cost_seconds(slow_block_bytes);
   cluster_options.latency = std::make_shared<const transport::BandwidthLatency>(
       params.net_latency_factor * unit, params.net_bandwidth);
-  if (params.buffer_cap_snapshots > 0) {
-    fw.max_buffered_bytes = params.buffer_cap_snapshots * slow_block_bytes;
-  }
   if (params.memory_budget_snapshots > 0) {
     fw.memory.budget_bytes = params.memory_budget_snapshots * slow_block_bytes;
     fw.memory.spill_directory = params.spill_directory;

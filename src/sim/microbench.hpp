@@ -57,15 +57,11 @@ struct MicrobenchParams {
   bool trace = false;                ///< record p_s's event listing
   std::size_t trace_max_events = 4096;
 
-  /// Finite buffer space: cap per exporter process, in snapshots of its
-  /// local block (0 = unlimited). See FrameworkOptions::max_buffered_bytes.
-  std::size_t buffer_cap_snapshots = 0;
-
-  /// Bounded-memory governance (MemoryOptions): resident-snapshot budget
-  /// per exporter process, in snapshots of its local block (0 = off).
-  /// Unlike buffer_cap_snapshots — which stalls the exporter at the cap —
-  /// the governor demotes cold snapshots to the spill tier and keeps the
-  /// exporter running.
+  /// Finite buffer space (MemoryOptions::budget_bytes): resident-snapshot
+  /// budget per exporter process, in snapshots of its local block (0 =
+  /// unlimited). Without a spill directory the exporter stalls at the
+  /// budget; with one it first demotes cold snapshots to the spill tier
+  /// and keeps running.
   std::size_t memory_budget_snapshots = 0;
   /// Spill-tier directory ("" = no spill tier: stall or soft-exceed).
   std::string spill_directory;

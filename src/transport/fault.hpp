@@ -1,7 +1,7 @@
 // Deterministic, seeded fault injection for the message fabric.
 //
-// A FaultInjector sits between send() and delivery (both in the real-time
-// Network and in the virtual-time scheduler) and decides, per message,
+// A FaultInjector sits between send() and delivery (in the FaultTransport
+// decorator and in the virtual-time scheduler) and decides, per message,
 // whether to drop it, duplicate it, or delay it. Decisions are a pure
 // function of (seed, src, dst, per-link message index), so a schedule is
 // replayable: the same seed over the same per-link traffic produces the

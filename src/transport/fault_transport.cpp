@@ -6,7 +6,8 @@
 
 namespace ccf::transport {
 
-class FaultEndpoint final : public Endpoint {
+class FaultEndpoint final : public Endpoint,
+                            public std::enable_shared_from_this<FaultEndpoint> {
  public:
   FaultEndpoint(FaultTransport& owner, std::shared_ptr<Endpoint> inner)
       : owner_(owner), inner_(std::move(inner)) {}
@@ -34,29 +35,34 @@ class FaultEndpoint final : public Endpoint {
         // If the draw also duplicated it, one copy (aliasing the same
         // payload) still goes out on time so no delivery is lost.
         if (decision.duplicate) dup_now = m;
-        owner_.held_.emplace(
-            m.dst, FaultTransport::Held{shared_from_this_endpoint(), std::move(m)});
+        owner_.held_.emplace(m.dst, FaultTransport::Held{shared_from_this(), std::move(m)});
         held_now = true;
       }
     }
     if (held_now) {
-      if (dup_now) inner_->send(std::move(*dup_now));
+      if (dup_now) forward(std::move(*dup_now));
       return;
     }
     if (!decision.drop) {
-      if (decision.duplicate) inner_->send(m);
-      inner_->send(std::move(m));
+      if (decision.duplicate) forward(m);
+      forward(std::move(m));
     }
-    if (release) release->via->send(std::move(release->message));
+    if (release) release->via->forward(std::move(release->message));
+  }
+
+  /// Sends through the inner endpoint. A held message is released by
+  /// whichever thread sends next to its destination, so this lock keeps
+  /// each inner endpoint used by one thread at a time, as the Endpoint
+  /// contract requires.
+  void forward(Message m) {
+    std::lock_guard<std::mutex> lock(forward_mutex_);
+    inner_->send(std::move(m));
   }
 
  private:
-  /// The endpoint stored with a held message must keep the inner endpoint
-  /// alive; the wrapper itself is not needed for the flush.
-  std::shared_ptr<Endpoint> shared_from_this_endpoint() { return inner_; }
-
   FaultTransport& owner_;
   std::shared_ptr<Endpoint> inner_;
+  std::mutex forward_mutex_;
 };
 
 FaultTransport::FaultTransport(std::shared_ptr<Transport> inner,
@@ -78,7 +84,7 @@ void FaultTransport::shutdown() {
     shut_down_ = true;
     flush.swap(held_);
   }
-  for (auto& [dst, held] : flush) held.via->send(std::move(held.message));
+  for (auto& [dst, held] : flush) held.via->forward(std::move(held.message));
   inner_->shutdown();
 }
 

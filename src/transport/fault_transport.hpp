@@ -1,9 +1,8 @@
 // FaultTransport: seeded fault injection as a decorator over ANY backend.
 //
-// Historically fault injection lived inside the in-memory Network; that
-// made it a special case of one backend and left the real SHM+TCP path
-// untestable under chaos. FaultTransport lifts the exact same semantics
-// to the Transport seam:
+// Fault injection lives at the Transport seam, so every wall-clock
+// backend (the in-memory fabric or a live SHM+TCP cluster) runs chaos
+// schedules through this one path:
 //
 //   * drop       — the message never reaches the inner transport
 //   * duplicate  — delivered twice (both aliasing one payload buffer)
@@ -29,6 +28,8 @@
 
 namespace ccf::transport {
 
+class FaultEndpoint;
+
 class FaultTransport final : public Transport {
  public:
   FaultTransport(std::shared_ptr<Transport> inner, std::shared_ptr<FaultInjector> injector);
@@ -36,7 +37,7 @@ class FaultTransport final : public Transport {
   std::shared_ptr<Endpoint> attach(ProcId id) override;
 
   /// Flushes held-back (delayed) messages, then shuts down the inner
-  /// transport — nothing is lost silently, matching the fabric.
+  /// transport — nothing is lost silently.
   void shutdown() override;
 
   TransportCounters counters() const override { return inner_->counters(); }
@@ -47,10 +48,11 @@ class FaultTransport final : public Transport {
   friend class FaultEndpoint;
 
   /// One held-back message per destination, released after the next send
-  /// to that destination; the sending endpoint is kept so the flush rides
-  /// the same inner path as the original send.
+  /// to that destination; the sending endpoint is kept so the release
+  /// goes out through the same inner endpoint as the original send, in
+  /// turn with that sender's own sends.
   struct Held {
-    std::shared_ptr<Endpoint> via;
+    std::shared_ptr<FaultEndpoint> via;
     Message message;
   };
 

@@ -521,38 +521,35 @@ void RealEndpoint::complete_handshake(const std::shared_ptr<Conn>& c, const Hand
     throw FramingError("HELLO identity mismatch: got '" + hs.identity + "', expected '" +
                        expect + "'");
   const std::size_t peer_index = host_.index_of(hs.src);
-  std::deque<Parked> parked;
-  {
-    std::lock_guard<std::mutex> lock(conns_mutex_);
-    if (peer_conn_[peer_index] != nullptr)
-      throw FramingError("duplicate connection from proc " + std::to_string(hs.src));
-    peer_conn_[peer_index] = c;
-    parked.swap(pending_out_[peer_index]);
-  }
-  c->peer = hs.src;
-  c->handshake_done = true;
-  ctr_->tcp_connections.fetch_add(1, std::memory_order_relaxed);
-
   Handshake welcome;
   welcome.magic = kWelcomeMagic;
   welcome.src = id_;
   welcome.dst = hs.src;
   welcome.identity = host_.options_.identity_of(id_);
   std::vector<std::byte> wire = encode_handshake(welcome);
-  // Queue the WELCOME and every parked frame under one lock, then flush
-  // once: the whole backlog leaves in a single vectored syscall.
-  {
-    std::lock_guard<std::mutex> lock(c->write_mutex);
-    if (c->dead) return;
-    ctr_->tcp_bytes.fetch_add(wire.size(), std::memory_order_relaxed);
-    c->writeq.push_raw(std::move(wire));
-    for (auto& p : parked) {
-      ctr_->tcp_bytes.fetch_add(kFrameHeaderBytes + p.payload.size(),
-                                std::memory_order_relaxed);
-      c->writeq.push_frame(p.header, std::move(p.payload));
-    }
-    flush_and_arm(*c);
+  // Publish the connection only once the WELCOME and every parked frame
+  // are queued on it, all in one critical section: a send that finds
+  // peer_conn_ set must queue behind them. A frame that overtook the
+  // WELCOME would make the initiator reject the stream and drop the
+  // connection, and a frame parked after the backlog moved would strand.
+  // The whole backlog then leaves in a single vectored syscall.
+  std::lock_guard<std::mutex> lock(conns_mutex_);
+  if (peer_conn_[peer_index] != nullptr)
+    throw FramingError("duplicate connection from proc " + std::to_string(hs.src));
+  std::lock_guard<std::mutex> wlock(c->write_mutex);
+  if (c->dead) return;
+  c->peer = hs.src;
+  c->handshake_done = true;
+  ctr_->tcp_connections.fetch_add(1, std::memory_order_relaxed);
+  ctr_->tcp_bytes.fetch_add(wire.size(), std::memory_order_relaxed);
+  c->writeq.push_raw(std::move(wire));
+  for (auto& p : pending_out_[peer_index]) {
+    ctr_->tcp_bytes.fetch_add(kFrameHeaderBytes + p.payload.size(), std::memory_order_relaxed);
+    c->writeq.push_frame(p.header, std::move(p.payload));
   }
+  pending_out_[peer_index].clear();
+  peer_conn_[peer_index] = c;
+  flush_and_arm(*c);
 }
 
 void RealEndpoint::close_conn(const std::shared_ptr<Conn>& c, bool count_decode_error) {

@@ -2,6 +2,9 @@
 // and unnecessary-time accounting (the Eq. 1/2 inputs).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "core/buffer_pool.hpp"
 #include "fake_context.hpp"
 #include "transport/serialize.hpp"
@@ -184,6 +187,34 @@ TEST(BufferPoolTest, InFlightPayloadBlocksRecycling) {
   const auto v = r.get_vector<double>();
   ASSERT_EQ(v.size(), 32u);
   for (double x : v) EXPECT_DOUBLE_EQ(x, 7.5) << "in-flight payload bytes were clobbered";
+}
+
+TEST(BufferPoolTest, FrameReleasedOnAnotherThreadIsReusedOnlyAfterItsReads) {
+  // A reader on another thread (an importer unpacking a zero-copy frame,
+  // the TCP io thread writing one out) drops the last alias; the exporter
+  // then frees the entry and recycles the frame. The flag below orders
+  // nothing, so under ThreadSanitizer this checks that the pool itself
+  // orders the reader's reads before the next store's writes.
+  FakeContext ctx;
+  BufferPool pool;
+  auto src = block(32, 7.5);
+  pool.store(1.0, src.data(), 32, 0b1, ctx);
+  std::atomic<bool> released{false};
+  double sum = 0;
+  std::thread reader([payload = pool.wire_payload(1.0), &released, &sum]() mutable {
+    {
+      transport::Reader r(std::move(payload));
+      for (double x : r.get_vector<double>()) sum += x;
+    }  // the reader's last alias of the frame dies here
+    released.store(true, std::memory_order_relaxed);
+  });
+  while (!released.load(std::memory_order_relaxed)) std::this_thread::yield();
+  pool.drop(1.0, 0);
+  auto src2 = block(32, -1.0);
+  pool.store(2.0, src2.data(), 32, 0b1, ctx);
+  EXPECT_EQ(pool.stats().arena_reuses, 1u);
+  reader.join();
+  EXPECT_DOUBLE_EQ(sum, 32 * 7.5);
 }
 
 }  // namespace

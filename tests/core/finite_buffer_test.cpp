@@ -11,11 +11,11 @@ namespace {
 using dist::BlockDecomposition;
 using dist::DistArray2D;
 
-Config make_config(int exp_procs, int imp_procs) {
+Config make_config(int exp_procs, int imp_procs, double tolerance = 0.5) {
   Config config;
   config.add_program(ProgramSpec{"E", "h", "/e", exp_procs, {}});
   config.add_program(ProgramSpec{"I", "h", "/i", imp_procs, {}});
-  config.add_connection(ConnectionSpec{"E", "r", "I", "r", MatchPolicy::REGL, 0.5});
+  config.add_connection(ConnectionSpec{"E", "r", "I", "r", MatchPolicy::REGL, tolerance});
   return config;
 }
 
@@ -30,7 +30,7 @@ TEST(FiniteBuffer, CapBoundsPeakOccupancyViaStalls) {
   auto run = [&](std::size_t cap) {
     Config config = make_config(2, 2);
     FrameworkOptions fw;
-    fw.max_buffered_bytes = cap;
+    fw.memory.budget_bytes = cap;  // no spill directory: a hard cap
     CoupledSystem system(config, runtime::ClusterOptions{}, fw);
     system.set_program_body("E", [&](CouplingRuntime& rt, runtime::ProcessContext& ctx) {
       rt.define_export_region("r", decomp);
@@ -75,12 +75,18 @@ TEST(FiniteBuffer, CapBoundsPeakOccupancyViaStalls) {
 TEST(FiniteBuffer, SoftCapWhenStallWouldBlockProgress) {
   // The importer requests a *future* timestamp and then blocks on the
   // exporter's data; the exporter must keep producing (outstanding
-  // request!) even if the cap is hit — the cap is exceeded softly instead
-  // of deadlocking.
+  // request!) even though the budget is full — the budget is exceeded
+  // softly instead of deadlocking.
   const auto decomp = BlockDecomposition::make_grid(8, 8, 1);
-  Config config = make_config(1, 1);
+  const std::size_t snapshot =
+      static_cast<std::size_t>(decomp.box_of(0).count()) * sizeof(double);
+  // The wide tolerance keeps the snapshots inside [15, 25] buffered as
+  // candidates while the request for 25 is PENDING, and a budget of one
+  // snapshot is full as soon as one of them is: from then on every export
+  // would stall but for ExportRegionState::safe_to_stall.
+  Config config = make_config(1, 1, 10.0);
   FrameworkOptions fw;
-  fw.max_buffered_bytes = 1;  // absurdly small: any snapshot exceeds it
+  fw.memory.budget_bytes = snapshot;
   CoupledSystem system(config, runtime::ClusterOptions{}, fw);
   system.set_program_body("E", [&](CouplingRuntime& rt, runtime::ProcessContext& ctx) {
     rt.define_export_region("r", decomp);
@@ -104,6 +110,7 @@ TEST(FiniteBuffer, SoftCapWhenStallWouldBlockProgress) {
   system.run();  // must terminate (no deadlock)
   const auto stats = system.proc_stats("E", 0).exports.at(0);
   EXPECT_EQ(stats.transfers, 1u);
+  EXPECT_GT(stats.buffer.peak_bytes, snapshot);  // exceeded softly
 }
 
 TEST(FiniteBuffer, ImporterDepartureReleasesConnection) {

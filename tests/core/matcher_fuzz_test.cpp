@@ -1,5 +1,5 @@
 // Differential fuzz of the interval-indexed matcher against the preserved
-// linear engine (core/naive_matcher.hpp).
+// linear engine (tests/support/naive_matcher.hpp).
 //
 // Every seed derives a random interleaving of record / evaluate /
 // prune_below / prune_through / finalize plus a protocol-style FIFO
@@ -25,7 +25,7 @@
 #include <string>
 
 #include "core/matcher.hpp"
-#include "core/naive_matcher.hpp"
+#include "support/naive_matcher.hpp"
 #include "util/rng.hpp"
 
 namespace ccf::core {

@@ -276,7 +276,7 @@ TEST(Chaos, StalledExporterDegradesWhenImporterDepartureNoticeIsLost) {
   };
 
   FrameworkOptions fw = tolerant_options();
-  fw.max_buffered_bytes = 4 * (12 / 2) * 12 * sizeof(double);  // ~4 snapshots
+  fw.memory.budget_bytes = 4 * (12 / 2) * 12 * sizeof(double);  // ~4 snapshots
   fw.stall_timeout_seconds = 0.2;
 
   const RunResult run = run_system(wl, fw, std::make_shared<FaultInjector>(plan));

@@ -60,7 +60,7 @@ TEST(MicrobenchModes, BufferCapPreservesMatches) {
   MicrobenchParams p = tiny();
   p.importer_procs = 4;  // slower importer: buffering pressure
   const MicrobenchResult unbounded = run_microbench(p);
-  p.buffer_cap_snapshots = 5;
+  p.memory_budget_snapshots = 5;  // no spill directory: the exporter stalls
   const MicrobenchResult capped = run_microbench(p);
   EXPECT_EQ(capped.importer_rank0_stats.matched_timestamps,
             unbounded.importer_rank0_stats.matched_timestamps);

@@ -1,10 +1,14 @@
 #include "mem/spill.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -107,6 +111,57 @@ TEST_F(SpillStoreTest, SharedDirectoryStoresDoNotCollide) {
   EXPECT_EQ(back, pa);
   b.restore(tb, back.data());
   EXPECT_EQ(back, pb);
+}
+
+TEST_F(SpillStoreTest, ForkedStoresSharingADirectoryRestoreTheirOwnBytes) {
+  // Forked exporters inherit the in-process store counter, so only the
+  // pid keeps their file names apart. Both children spill before either
+  // restores; each must read back its own bytes.
+  const std::string dir = tmp_dir();
+  std::array<int, 2> put_done{}, go{};
+  ASSERT_EQ(::pipe(put_done.data()), 0);
+  ASSERT_EQ(::pipe(go.data()), 0);
+  std::array<pid_t, 2> pids{};
+  for (std::uint32_t child = 0; child < 2; ++child) {
+    pids[child] = ::fork();
+    ASSERT_GE(pids[child], 0);
+    if (pids[child] != 0) continue;
+    // Every path reaches the barrier, so a failing child cannot wedge
+    // its sibling or the parent.
+    int code = 0;
+    const std::vector<std::byte> mine = random_bytes(256, 40 + child);
+    std::optional<SpillStore> store;
+    SpillStore::Ticket t;
+    try {
+      store.emplace(dir);
+      t = store->put(mine.data(), mine.size());
+    } catch (...) {
+      code = 2;
+    }
+    char c = 1;
+    if (::write(put_done[1], &c, 1) != 1 || ::read(go[0], &c, 1) != 1) code = 3;
+    if (code == 0) {
+      try {
+        std::vector<std::byte> back(mine.size());
+        store->restore(t, back.data());
+        if (back != mine) code = 1;
+      } catch (...) {
+        code = 2;
+      }
+    }
+    ::_exit(code);
+  }
+  char c = 0;
+  for (int i = 0; i < 2; ++i) ASSERT_EQ(::read(put_done[0], &c, 1), 1);
+  const char release[2] = {1, 1};
+  ASSERT_EQ(::write(go[1], release, 2), 2);
+  for (pid_t pid : pids) {
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0) << "1 = another process's bytes, 2 = spill I/O error";
+  }
+  for (int fd : {put_done[0], put_done[1], go[0], go[1]}) ::close(fd);
 }
 
 TEST_F(SpillStoreTest, DestructorCleansUpLiveFiles) {

@@ -1,14 +1,15 @@
 // Fault-injection tests: deterministic replay, eligibility scoping, fault
-// caps, network-level drop/duplicate/reorder semantics, and the mailbox
-// drop accounting the liveness machinery depends on.
+// caps, and the mailbox drop accounting the liveness machinery depends on.
+// The drop/duplicate/reorder delivery semantics are exercised through the
+// FaultTransport decorator (fault_transport_test.cpp).
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
 
+#include "transport/fabric.hpp"
 #include "transport/fault.hpp"
 #include "transport/mailbox.hpp"
-#include "transport/network.hpp"
 
 namespace ccf::transport {
 namespace {
@@ -146,77 +147,16 @@ TEST(FaultInjector, RejectsInvalidPlans) {
   EXPECT_THROW(FaultInjector{bounds}, util::InvalidArgument);
 }
 
-TEST(NetworkFaults, DropsVanishAndAreCounted) {
-  Network net;
-  net.register_process(1);
-  auto box = net.register_process(2);
-  FaultPlan plan;
-  plan.drop_prob = 1.0;
-  net.set_fault_injector(std::make_shared<FaultInjector>(plan));
-  for (int i = 0; i < 5; ++i) net.send(make_msg(1, 2, 0));
-  EXPECT_EQ(box->pending(), 0u);
-  EXPECT_EQ(net.stats().faults_dropped, 5u);
-  // messages_sent counts deliveries; dropped messages never deliver.
-  EXPECT_EQ(net.stats().messages_sent, 0u);
-}
-
-TEST(NetworkFaults, DuplicatesDeliverTwice) {
-  Network net;
-  net.register_process(1);
-  auto box = net.register_process(2);
-  FaultPlan plan;
-  plan.duplicate_prob = 1.0;
-  net.set_fault_injector(std::make_shared<FaultInjector>(plan));
-  net.send(make_msg(1, 2, 9));
-  EXPECT_EQ(box->pending(), 2u);
-  EXPECT_EQ(net.stats().faults_duplicated, 1u);
-}
-
-TEST(NetworkFaults, DelayHoldsBackUntilNextSendToSameDst) {
-  Network net;
-  net.register_process(1);
-  auto box = net.register_process(2);
-  FaultPlan plan;
-  plan.delay_prob = 1.0;
-  plan.delay_min_seconds = 0.001;
-  plan.delay_max_seconds = 0.001;
-  plan.max_faults = 1;  // only the first message is held back
-  net.set_fault_injector(std::make_shared<FaultInjector>(plan));
-  net.send(make_msg(1, 2, 100));
-  EXPECT_EQ(box->pending(), 0u);  // held
-  net.send(make_msg(1, 2, 200));
-  EXPECT_EQ(box->pending(), 2u);
-  // The second message now precedes the held-back first: a reordering.
-  EXPECT_EQ(box->receive(MatchSpec{}).tag, 200);
-  EXPECT_EQ(box->receive(MatchSpec{}).tag, 100);
-  EXPECT_EQ(net.stats().faults_reordered, 1u);
-}
-
-TEST(NetworkFaults, ShutdownFlushesHeldMessages) {
-  Network net;
-  net.register_process(1);
-  auto box = net.register_process(2);
-  FaultPlan plan;
-  plan.delay_prob = 1.0;
-  plan.delay_min_seconds = 0.001;
-  plan.delay_max_seconds = 0.001;
-  net.set_fault_injector(std::make_shared<FaultInjector>(plan));
-  net.send(make_msg(1, 2, 7));
-  EXPECT_EQ(box->pending(), 0u);
-  net.shutdown();
-  // Flushed before the close, so the message is queued, not lost.
-  EXPECT_EQ(box->pending(), 1u);
-}
-
 TEST(NetworkFaults, ClosedMailboxDropsAreCounted) {
-  Network net;
-  net.register_process(1);
-  auto box = net.register_process(2);
-  box->close();
-  net.send(make_msg(1, 2, 0));
-  net.send(make_msg(1, 2, 0));
-  EXPECT_EQ(net.stats().closed_box_drops, 2u);
-  EXPECT_EQ(box->dropped(), 2u);
+  FabricTransport net({1, 2});
+  auto sender = net.attach(1);
+  auto receiver = net.attach(2);
+  receiver->inbox().close();
+  sender->send(make_msg(1, 2, 0));
+  sender->send(make_msg(1, 2, 0));
+  EXPECT_EQ(net.counters().frames_sent, 2u);
+  EXPECT_EQ(net.counters().frames_received, 0u);
+  EXPECT_EQ(receiver->inbox().dropped(), 2u);
 }
 
 TEST(MailboxDrops, DeliverToClosedBoxCountsEachDrop) {

@@ -1,12 +1,12 @@
 // Transport substrate tests: serialization, mailbox matching semantics,
-// network routing, latency models.
+// in-memory fabric routing, latency models.
 #include <gtest/gtest.h>
 
 #include <thread>
 
+#include "transport/fabric.hpp"
 #include "transport/latency.hpp"
 #include "transport/mailbox.hpp"
-#include "transport/network.hpp"
 #include "transport/serialize.hpp"
 
 namespace ccf::transport {
@@ -240,52 +240,49 @@ TEST(MailboxTest, ReceiveUntilGetsMessage) {
 }
 
 TEST(NetworkTest, RoutesByDestination) {
-  Network net;
-  auto box1 = net.register_process(1);
-  auto box2 = net.register_process(2);
-  net.send(make_msg(1, 2, 0));
-  EXPECT_EQ(box2->pending(), 1u);
-  EXPECT_EQ(box1->pending(), 0u);
+  FabricTransport net({1, 2});
+  auto ep1 = net.attach(1);
+  auto ep2 = net.attach(2);
+  ep1->send(make_msg(1, 2, 0));
+  EXPECT_EQ(ep2->inbox().pending(), 1u);
+  EXPECT_EQ(ep1->inbox().pending(), 0u);
 }
 
 TEST(NetworkTest, SequencesPerSender) {
-  Network net;
-  net.register_process(1);
-  auto box = net.register_process(2);
-  net.send(make_msg(1, 2, 0));
-  net.send(make_msg(1, 2, 0));
-  EXPECT_EQ(box->receive(MatchSpec{}).seq, 0u);
-  EXPECT_EQ(box->receive(MatchSpec{}).seq, 1u);
+  FabricTransport net({1, 2});
+  auto sender = net.attach(1);
+  auto receiver = net.attach(2);
+  sender->send(make_msg(1, 2, 0));
+  sender->send(make_msg(1, 2, 0));
+  EXPECT_EQ(receiver->inbox().receive(MatchSpec{}).seq, 0u);
+  EXPECT_EQ(receiver->inbox().receive(MatchSpec{}).seq, 1u);
 }
 
 TEST(NetworkTest, RejectsDuplicateAndUnknownIds) {
-  Network net;
-  net.register_process(3);
-  EXPECT_THROW(net.register_process(3), util::InvalidArgument);
-  EXPECT_THROW(net.register_process(-1), util::InvalidArgument);
-  EXPECT_THROW(net.send(make_msg(3, 99, 0)), util::InvalidArgument);
-  EXPECT_THROW(net.mailbox(99), util::InvalidArgument);
-  EXPECT_TRUE(net.has_process(3));
-  EXPECT_FALSE(net.has_process(4));
+  EXPECT_THROW(FabricTransport({3, 3}), util::InvalidArgument);
+  EXPECT_THROW(FabricTransport({-1}), util::InvalidArgument);
+  FabricTransport net({3});
+  auto ep = net.attach(3);
+  EXPECT_THROW(ep->send(make_msg(3, 99, 0)), util::InvalidArgument);
+  EXPECT_THROW(net.attach(99), util::InvalidArgument);
 }
 
 TEST(NetworkTest, StatsCountMessagesAndBytes) {
-  Network net;
-  net.register_process(1);
-  net.register_process(2);
+  FabricTransport net({1, 2});
   Message m = make_msg(1, 2, 0);
   std::vector<std::byte> bytes(100);
   m.payload = make_payload(std::move(bytes));
-  net.send(std::move(m));
-  EXPECT_EQ(net.stats().messages_sent, 1u);
-  EXPECT_EQ(net.stats().bytes_sent, 100u);
+  net.attach(1)->send(std::move(m));
+  EXPECT_EQ(net.counters().frames_sent, 1u);
+  EXPECT_EQ(net.counters().frames_received, 1u);
+  EXPECT_EQ(net.counters().bytes_framed, 100u);
 }
 
 TEST(NetworkTest, ShutdownClosesAllMailboxes) {
-  Network net;
-  auto box = net.register_process(1);
+  FabricTransport net({1});
+  auto ep = net.attach(1);
   net.shutdown();
-  EXPECT_TRUE(box->closed());
+  EXPECT_TRUE(ep->inbox().closed());
 }
 
 TEST(LatencyModels, ZeroAndFixed) {

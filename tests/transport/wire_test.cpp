@@ -8,6 +8,7 @@
 #include <cstring>
 #include <vector>
 
+#include "support/frame_decoder.hpp"
 #include "transport/real/wire.hpp"
 
 namespace ccf::transport::real {
