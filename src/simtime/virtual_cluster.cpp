@@ -9,7 +9,7 @@
 namespace ccf::simtime {
 
 namespace {
-/// Internal unwind signal used to tear down process threads when the
+/// Internal unwind signal used to tear down process fibers when the
 /// cluster aborts (deadlock or another process threw). Never escapes run().
 struct ClusterAborted {};
 }  // namespace
@@ -40,20 +40,12 @@ VirtualCluster::VirtualCluster(Options options) : options_(std::move(options)) {
   CCF_REQUIRE(options_.latency != nullptr, "cluster needs a latency model");
 }
 
-VirtualCluster::~VirtualCluster() {
-  // run() always joins; but if run() was never called, no threads exist.
-}
-
 void VirtualCluster::add_process(ProcId id, std::function<void(SimContext&)> body) {
-  std::lock_guard<std::mutex> lock(mutex_);
   CCF_REQUIRE(!started_, "cannot add processes after run()");
   CCF_REQUIRE(id >= 0, "process id must be non-negative, got " << id);
   CCF_REQUIRE(!procs_.count(id), "duplicate process id " << id);
   CCF_REQUIRE(body != nullptr, "process body must be callable");
-  auto proc = std::make_unique<Proc>();
-  proc->id = id;
-  proc->body = std::move(body);
-  procs_.emplace(id, std::move(proc));
+  procs_.emplace(id, std::make_unique<Proc>(id, std::move(body), *this));
   proc_order_.push_back(id);
 }
 
@@ -63,12 +55,12 @@ VirtualCluster::Proc& VirtualCluster::proc_of(ProcId id) {
   return *it->second;
 }
 
-void VirtualCluster::push_event_locked(Event e) {
+void VirtualCluster::push_event(Event e) {
   e.seq = next_seq_++;
   events_.push(std::move(e));
 }
 
-std::optional<Message> VirtualCluster::take_from_inbox_locked(Proc& proc, const MatchSpec& spec) {
+std::optional<Message> VirtualCluster::take_from_inbox(Proc& proc, const MatchSpec& spec) {
   for (auto it = proc.inbox.begin(); it != proc.inbox.end(); ++it) {
     if (spec.matches(*it)) {
       Message m = std::move(*it);
@@ -79,31 +71,38 @@ std::optional<Message> VirtualCluster::take_from_inbox_locked(Proc& proc, const 
   return std::nullopt;
 }
 
-void VirtualCluster::yield_locked(std::unique_lock<std::mutex>& lock, Proc& proc) {
-  proc.can_run = false;
-  scheduler_cv_.notify_all();
-  proc.cv.wait(lock, [&] { return proc.can_run || aborting_; });
+void VirtualCluster::run_body(Proc& proc) {
+  SimContext ctx(this, proc.id);
+  try {
+    proc.body(ctx);
+  } catch (const ClusterAborted&) {
+    // normal teardown path
+  } catch (...) {
+    if (!first_error_) first_error_ = std::current_exception();
+    aborting_ = true;
+  }
+  proc.state = ProcState::Finished;
+  ++finished_count_;
+}
+
+void VirtualCluster::yield(Proc& proc) {
+  if (!aborting_) proc.fiber.suspend();
   if (aborting_) throw ClusterAborted{};
 }
 
-// --- SimContext backends (called on process threads) -----------------------
+// --- SimContext backends (called on process fibers) ------------------------
 
-SimTime VirtualCluster::ctx_now(ProcId id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return proc_of(id).now;
-}
+SimTime VirtualCluster::ctx_now(ProcId id) { return proc_of(id).now; }
 
 void VirtualCluster::ctx_advance(ProcId id, SimTime dt) {
   CCF_REQUIRE(dt >= 0.0, "advance by negative time " << dt);
-  std::unique_lock<std::mutex> lock(mutex_);
   Proc& proc = proc_of(id);
   proc.state = ProcState::Yielded;
-  push_event_locked(Event{proc.now + dt, 0, Event::Kind::Resume, id, {}});
-  yield_locked(lock, proc);
+  push_event(Event{proc.now + dt, 0, Event::Kind::Resume, id, {}});
+  yield(proc);
 }
 
 void VirtualCluster::ctx_send(ProcId src, ProcId dst, Tag tag, Payload payload) {
-  std::unique_lock<std::mutex> lock(mutex_);
   CCF_REQUIRE(procs_.count(dst), "send to unknown process id " << dst);
   Proc& sender = proc_of(src);
   Message m;
@@ -118,39 +117,28 @@ void VirtualCluster::ctx_send(ProcId src, ProcId dst, Tag tag, Payload payload) 
     delay += d.extra_delay_seconds;  // may reorder past later sends
     if (d.duplicate) {
       Message copy = m;
-      push_event_locked(Event{sender.now + delay, 0, Event::Kind::Delivery, dst, std::move(copy)});
+      push_event(Event{sender.now + delay, 0, Event::Kind::Delivery, dst, std::move(copy)});
     }
   }
-  push_event_locked(Event{sender.now + delay, 0, Event::Kind::Delivery, dst, std::move(m)});
+  push_event(Event{sender.now + delay, 0, Event::Kind::Delivery, dst, std::move(m)});
 }
 
 Message VirtualCluster::ctx_recv(ProcId id, const MatchSpec& spec) {
-  std::unique_lock<std::mutex> lock(mutex_);
   Proc& proc = proc_of(id);
   for (;;) {
-    if (auto m = take_from_inbox_locked(proc, spec)) return std::move(*m);
+    if (auto m = take_from_inbox(proc, spec)) return std::move(*m);
     proc.state = ProcState::WaitingRecv;
     proc.wait_spec = spec;
     proc.has_deadline = false;
-    yield_locked(lock, proc);
+    yield(proc);
   }
 }
 
 std::optional<Message> VirtualCluster::ctx_try_recv(ProcId id, const MatchSpec& spec) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Proc& proc = proc_of(id);
-  for (auto it = proc.inbox.begin(); it != proc.inbox.end(); ++it) {
-    if (spec.matches(*it)) {
-      Message m = std::move(*it);
-      proc.inbox.erase(it);
-      return m;
-    }
-  }
-  return std::nullopt;
+  return take_from_inbox(proc_of(id), spec);
 }
 
 bool VirtualCluster::ctx_probe(ProcId id, const MatchSpec& spec) {
-  std::lock_guard<std::mutex> lock(mutex_);
   Proc& proc = proc_of(id);
   return std::any_of(proc.inbox.begin(), proc.inbox.end(),
                      [&](const Message& m) { return spec.matches(m); });
@@ -158,10 +146,9 @@ bool VirtualCluster::ctx_probe(ProcId id, const MatchSpec& spec) {
 
 std::optional<Message> VirtualCluster::ctx_recv_until(ProcId id, const MatchSpec& spec,
                                                       SimTime deadline) {
-  std::unique_lock<std::mutex> lock(mutex_);
   Proc& proc = proc_of(id);
   for (;;) {
-    if (auto m = take_from_inbox_locked(proc, spec)) return std::move(*m);
+    if (auto m = take_from_inbox(proc, spec)) return std::move(*m);
     if (proc.now >= deadline) return std::nullopt;
     proc.state = ProcState::WaitingRecv;
     proc.wait_spec = spec;
@@ -170,12 +157,12 @@ std::optional<Message> VirtualCluster::ctx_recv_until(ProcId id, const MatchSpec
     proc.woke_by_deadline = false;
     Event e{deadline, 0, Event::Kind::Deadline, id, {}};
     e.gen = ++proc.deadline_gen;
-    push_event_locked(std::move(e));
-    yield_locked(lock, proc);
+    push_event(std::move(e));
+    yield(proc);
     if (proc.woke_by_deadline) {
       // One more scan: a message may have been delivered exactly at the
       // deadline tick before our resume.
-      if (auto m = take_from_inbox_locked(proc, spec)) return std::move(*m);
+      if (auto m = take_from_inbox(proc, spec)) return std::move(*m);
       return std::nullopt;
     }
   }
@@ -183,18 +170,26 @@ std::optional<Message> VirtualCluster::ctx_recv_until(ProcId id, const MatchSpec
 
 // --- scheduler --------------------------------------------------------------
 
-void VirtualCluster::resume_and_wait(Proc& proc, SimTime at_time) {
-  // mutex_ is held by the caller (scheduler_loop) via unique_lock; we are
-  // called with the lock held. Transfer control to the process thread and
-  // wait until it yields/blocks/finishes.
+void VirtualCluster::resume(Proc& proc, SimTime at_time) {
+  // Runs the process's fiber until it yields, blocks or finishes.
   proc.now = std::max(proc.now, at_time);
   end_time_ = std::max(end_time_, proc.now);
   proc.state = ProcState::Running;
-  proc.can_run = true;
-  proc.cv.notify_all();
+  proc.fiber.resume();
 }
 
-std::string VirtualCluster::deadlock_report_locked() const {
+void VirtualCluster::unwind_started_procs() {
+  // Each suspended process resumes once, throws ClusterAborted from its
+  // yield point and runs its destructors; a body that never started stays
+  // unrun.
+  aborting_ = true;
+  for (ProcId id : proc_order_) {
+    Proc& p = *procs_.at(id);
+    if (p.state != ProcState::NotStarted && p.state != ProcState::Finished) p.fiber.resume();
+  }
+}
+
+std::string VirtualCluster::deadlock_report() const {
   std::ostringstream os;
   os << "virtual cluster deadlock: no events pending, blocked processes:";
   for (ProcId id : proc_order_) {
@@ -208,164 +203,88 @@ std::string VirtualCluster::deadlock_report_locked() const {
 }
 
 void VirtualCluster::run() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    CCF_REQUIRE(!started_, "run() called twice");
-    CCF_REQUIRE(!procs_.empty(), "no processes registered");
-    started_ = true;
-    // Seed: every process becomes runnable at t=0 in registration order.
-    for (ProcId id : proc_order_) {
-      push_event_locked(Event{0.0, 0, Event::Kind::Resume, id, {}});
-    }
+  CCF_REQUIRE(!started_, "run() called twice");
+  CCF_REQUIRE(!procs_.empty(), "no processes registered");
+  started_ = true;
+  // Seed: every process becomes runnable at t=0 in registration order.
+  for (ProcId id : proc_order_) push_event(Event{0.0, 0, Event::Kind::Resume, id, {}});
+
+  try {
+    scheduler_loop();
+  } catch (...) {
+    unwind_started_procs();
+    throw;
   }
-
-  // Spawn process threads; each waits for its first resume.
-  for (ProcId id : proc_order_) {
-    Proc& proc = proc_of(id);
-    proc.thread = std::thread([this, &proc] {
-      SimContext ctx(this, proc.id);
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        proc.cv.wait(lock, [&] { return proc.can_run || aborting_; });
-        if (aborting_) {
-          proc.state = ProcState::Finished;
-          ++finished_count_;
-          scheduler_cv_.notify_all();
-          return;
-        }
-      }
-      try {
-        proc.body(ctx);
-      } catch (const ClusterAborted&) {
-        // normal teardown path
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!first_error_) first_error_ = std::current_exception();
-        aborting_ = true;
-        for (ProcId other : proc_order_) procs_.at(other)->cv.notify_all();
-      }
-      std::lock_guard<std::mutex> lock(mutex_);
-      proc.state = ProcState::Finished;
-      ++finished_count_;
-      scheduler_cv_.notify_all();
-    });
-  }
-
-  // Scheduler loop (on the caller's thread).
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!aborting_ && finished_count_ < procs_.size()) {
-      if (events_.empty()) {
-        // Nothing scheduled: either all remaining procs are waiting on
-        // messages that will never arrive (deadlock), or a proc is mid-
-        // transition. All transitions happen under the mutex, so empty
-        // queue + nobody Running/Yielded == deadlock.
-        bool any_active = false;
-        for (ProcId id : proc_order_) {
-          const auto st = procs_.at(id)->state;
-          if (st == ProcState::Running || st == ProcState::Yielded) any_active = true;
-        }
-        if (!any_active) {
-          const std::string report = deadlock_report_locked();
-          aborting_ = true;
-          for (ProcId id : proc_order_) procs_.at(id)->cv.notify_all();
-          lock.unlock();
-          for (ProcId id : proc_order_) {
-            auto& t = procs_.at(id)->thread;
-            if (t.joinable()) t.join();
-          }
-          throw DeadlockError(report);
-        }
-        // A process yielded but its resume event is not yet pushed — cannot
-        // happen (push precedes yield); defensive wait.
-        scheduler_cv_.wait(lock);
-        continue;
-      }
-
-      if (++events_processed_ > options_.max_events) {
-        aborting_ = true;
-        for (ProcId id : proc_order_) procs_.at(id)->cv.notify_all();
-        lock.unlock();
-        for (ProcId id : proc_order_) {
-          auto& t = procs_.at(id)->thread;
-          if (t.joinable()) t.join();
-        }
-        throw util::InternalError("virtual cluster exceeded max_events (" +
-                                  std::to_string(options_.max_events) + ")");
-      }
-
-      Event ev = events_.top();
-      events_.pop();
-
-      if (options_.journal && journal_.size() < options_.journal_max) {
-        JournalEntry entry;
-        entry.time = ev.time;
-        entry.proc = ev.proc;
-        switch (ev.kind) {
-          case Event::Kind::Resume: entry.kind = JournalEntry::Kind::Resume; break;
-          case Event::Kind::Deadline: entry.kind = JournalEntry::Kind::Deadline; break;
-          case Event::Kind::Delivery:
-            entry.kind = JournalEntry::Kind::Delivery;
-            entry.src = ev.message.src;
-            entry.tag = ev.message.tag;
-            entry.bytes = ev.message.size_bytes();
-            break;
-        }
-        journal_.push_back(entry);
-      }
-
-      switch (ev.kind) {
-        case Event::Kind::Delivery: {
-          Proc& dst = proc_of(ev.proc);
-          if (dst.state == ProcState::Finished) break;  // late message, drop
-          ++messages_delivered_;
-          const bool was_waiting_match =
-              dst.state == ProcState::WaitingRecv && dst.wait_spec.matches(ev.message);
-          dst.inbox.push_back(std::move(ev.message));
-          if (was_waiting_match) {
-            dst.state = ProcState::Yielded;
-            push_event_locked(Event{std::max(dst.now, ev.time), 0, Event::Kind::Resume,
-                                    dst.id, {}});
-          }
-          break;
-        }
-        case Event::Kind::Deadline: {
-          Proc& p = proc_of(ev.proc);
-          if (p.state == ProcState::WaitingRecv && p.has_deadline &&
-              p.deadline_gen == ev.gen) {
-            p.woke_by_deadline = true;
-            p.state = ProcState::Yielded;
-            push_event_locked(Event{std::max(p.now, ev.time), 0, Event::Kind::Resume,
-                                    p.id, {}});
-          }
-          break;
-        }
-        case Event::Kind::Resume: {
-          Proc& p = proc_of(ev.proc);
-          if (p.state == ProcState::Finished) break;
-          CCF_CHECK(p.state == ProcState::Yielded || p.state == ProcState::NotStarted,
-                    "resume of proc " << p.id << " in unexpected state");
-          resume_and_wait(p, ev.time);
-          // Wait until the process gives control back.
-          scheduler_cv_.wait(lock, [&] {
-            return p.state != ProcState::Running || aborting_;
-          });
-          break;
-        }
-      }
-    }
-
-    if (aborting_) {
-      for (ProcId id : proc_order_) procs_.at(id)->cv.notify_all();
-    }
-  }
-
-  for (ProcId id : proc_order_) {
-    auto& t = procs_.at(id)->thread;
-    if (t.joinable()) t.join();
-  }
-
+  // After a body threw its peers are still suspended; after a clean run
+  // there is none left.
+  unwind_started_procs();
   if (first_error_) std::rethrow_exception(first_error_);
+}
+
+void VirtualCluster::scheduler_loop() {
+  while (!aborting_ && finished_count_ < procs_.size()) {
+    // Only a yielded or waiting process can be unfinished here, and every
+    // yielded one has its resume queued: an empty queue is a deadlock.
+    if (events_.empty()) throw DeadlockError(deadlock_report());
+
+    if (++events_processed_ > options_.max_events) {
+      throw util::InternalError("virtual cluster exceeded max_events (" +
+                                std::to_string(options_.max_events) + ")");
+    }
+
+    Event ev = events_.top();
+    events_.pop();
+
+    if (options_.journal && journal_.size() < options_.journal_max) {
+      JournalEntry entry;
+      entry.time = ev.time;
+      entry.proc = ev.proc;
+      switch (ev.kind) {
+        case Event::Kind::Resume: entry.kind = JournalEntry::Kind::Resume; break;
+        case Event::Kind::Deadline: entry.kind = JournalEntry::Kind::Deadline; break;
+        case Event::Kind::Delivery:
+          entry.kind = JournalEntry::Kind::Delivery;
+          entry.src = ev.message.src;
+          entry.tag = ev.message.tag;
+          entry.bytes = ev.message.size_bytes();
+          break;
+      }
+      journal_.push_back(entry);
+    }
+
+    switch (ev.kind) {
+      case Event::Kind::Delivery: {
+        Proc& dst = proc_of(ev.proc);
+        if (dst.state == ProcState::Finished) break;  // late message, drop
+        ++messages_delivered_;
+        const bool was_waiting_match =
+            dst.state == ProcState::WaitingRecv && dst.wait_spec.matches(ev.message);
+        dst.inbox.push_back(std::move(ev.message));
+        if (was_waiting_match) {
+          dst.state = ProcState::Yielded;
+          push_event(Event{std::max(dst.now, ev.time), 0, Event::Kind::Resume, dst.id, {}});
+        }
+        break;
+      }
+      case Event::Kind::Deadline: {
+        Proc& p = proc_of(ev.proc);
+        if (p.state == ProcState::WaitingRecv && p.has_deadline && p.deadline_gen == ev.gen) {
+          p.woke_by_deadline = true;
+          p.state = ProcState::Yielded;
+          push_event(Event{std::max(p.now, ev.time), 0, Event::Kind::Resume, p.id, {}});
+        }
+        break;
+      }
+      case Event::Kind::Resume: {
+        Proc& p = proc_of(ev.proc);
+        if (p.state == ProcState::Finished) break;
+        CCF_CHECK(p.state == ProcState::Yielded || p.state == ProcState::NotStarted,
+                  "resume of proc " << p.id << " in unexpected state");
+        resume(p, ev.time);
+        break;
+      }
+    }
+  }
 }
 
 std::string VirtualCluster::journal_listing() const {

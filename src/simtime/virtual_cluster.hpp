@@ -1,33 +1,32 @@
 // Deterministic virtual-time execution of a simulated cluster.
 //
-// Every simulated process runs on its own OS thread, but the scheduler
-// enforces *sequential, time-ordered* execution: exactly one process thread
-// is runnable at any instant, always the one with the smallest virtual
-// timestamp (ties broken by insertion order). Virtual time only advances
-// when a process calls advance(); messages are delivered after a delay
-// charged by the cluster's LatencyModel. The result is a conservative
-// discrete-event simulation whose event order — and therefore every
-// experiment built on it — is bit-for-bit reproducible, independent of the
-// host's core count or load.
+// Every simulated process runs as a stackful fiber (simtime/fiber.hpp) on
+// the thread that calls run(). The scheduler enforces *sequential,
+// time-ordered* execution: exactly one process runs at any instant, always
+// the one with the smallest virtual timestamp (ties broken by insertion
+// order), until it advances time or waits for a message. Virtual time
+// only advances when a process calls advance(); messages are delivered
+// after a delay charged by the cluster's LatencyModel. The result is a
+// conservative discrete-event simulation whose event order — and therefore
+// every experiment built on it — is bit-for-bit reproducible, independent
+// of the host's core count or load.
 //
 // This is the substitution for the paper's physical cluster (see DESIGN.md):
 // buddy-help's benefit depends only on relative process progress rates,
 // buffering costs, and message latencies, all of which are modeled here.
 #pragma once
 
-#include <condition_variable>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <queue>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "simtime/fiber.hpp"
 #include "transport/fault.hpp"
 #include "transport/latency.hpp"
 #include "transport/message.hpp"
@@ -45,7 +44,7 @@ using transport::Tag;
 class VirtualCluster;
 
 /// Handle a simulated process body uses to interact with virtual time and
-/// the network. Only valid on the thread running that process body.
+/// the network. Only valid inside that process body.
 class SimContext {
  public:
   ProcId id() const { return id_; }
@@ -121,7 +120,6 @@ class VirtualCluster {
 
   VirtualCluster() : VirtualCluster(Options{}) {}
   explicit VirtualCluster(Options options);
-  ~VirtualCluster();
 
   VirtualCluster(const VirtualCluster&) = delete;
   VirtualCluster& operator=(const VirtualCluster&) = delete;
@@ -152,9 +150,14 @@ class VirtualCluster {
   enum class ProcState { NotStarted, Running, Yielded, WaitingRecv, Finished };
 
   struct Proc {
+    Proc(ProcId proc_id, std::function<void(SimContext&)> proc_body, VirtualCluster& cluster)
+        : id(proc_id),
+          body(std::move(proc_body)),
+          fiber([&cluster, this] { cluster.run_body(*this); }) {}
+
     ProcId id;
     std::function<void(SimContext&)> body;
-    std::thread thread;
+    Fiber fiber;
     SimTime now = 0.0;
     ProcState state = ProcState::NotStarted;
     MatchSpec wait_spec;  ///< valid while WaitingRecv
@@ -163,8 +166,6 @@ class VirtualCluster {
     bool woke_by_deadline = false;
     std::uint64_t deadline_gen = 0;  ///< invalidates stale Deadline events
     std::deque<Message> inbox;  ///< messages already delivered (<= proc time)
-    std::condition_variable cv;
-    bool can_run = false;  ///< handed control by the scheduler
   };
 
   struct Event {
@@ -183,11 +184,12 @@ class VirtualCluster {
     };
   };
 
-  // --- called from process threads (hold mutex_) ---
-  void yield_locked(std::unique_lock<std::mutex>& lock, Proc& proc);
-  void push_event_locked(Event e);
+  // --- called on process fibers ---
+  void run_body(Proc& proc);
+  void yield(Proc& proc);
+  void push_event(Event e);
   Proc& proc_of(ProcId id);
-  std::optional<Message> take_from_inbox_locked(Proc& proc, const MatchSpec& spec);
+  std::optional<Message> take_from_inbox(Proc& proc, const MatchSpec& spec);
 
   // SimContext backends
   SimTime ctx_now(ProcId id);
@@ -200,12 +202,11 @@ class VirtualCluster {
 
   // --- scheduler side ---
   void scheduler_loop();
-  void resume_and_wait(Proc& proc, SimTime at_time);
-  std::string deadlock_report_locked() const;
+  void resume(Proc& proc, SimTime at_time);
+  void unwind_started_procs();
+  std::string deadlock_report() const;
 
   Options options_;
-  std::mutex mutex_;
-  std::condition_variable scheduler_cv_;
   std::unordered_map<ProcId, std::unique_ptr<Proc>> procs_;
   std::vector<ProcId> proc_order_;
   std::priority_queue<Event, std::vector<Event>, Event::Later> events_;

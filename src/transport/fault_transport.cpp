@@ -1,20 +1,54 @@
 #include "transport/fault_transport.hpp"
 
 #include <optional>
+#include <vector>
 
 #include "util/check.hpp"
+#include "util/log.hpp"
 
 namespace ccf::transport {
 
-class FaultEndpoint final : public Endpoint,
-                            public std::enable_shared_from_this<FaultEndpoint> {
+class FaultEndpoint final : public Endpoint {
  public:
   FaultEndpoint(FaultTransport& owner, std::shared_ptr<Endpoint> inner)
-      : owner_(owner), inner_(std::move(inner)) {}
+      : owner_(owner), link_(std::make_shared<FaultTransport::Link>()) {
+    link_->inner = std::move(inner);
+  }
 
-  ProcId id() const override { return inner_->id(); }
-  Mailbox& inbox() override { return inner_->inbox(); }
-  bool under_pressure() const override { return inner_->under_pressure(); }
+  /// The body that sent through this endpoint has returned, so no later
+  /// send of its own will release what it held back: release it now.
+  ~FaultEndpoint() override {
+    std::vector<Message> held;
+    {
+      std::lock_guard<std::mutex> lock(owner_.mutex_);
+      for (auto it = owner_.held_.begin(); it != owner_.held_.end();) {
+        if (it->second.via != link_) {
+          ++it;
+          continue;
+        }
+        held.push_back(std::move(it->second.message));
+        it = owner_.held_.erase(it);
+      }
+    }
+    for (Message& m : held) {
+      const ProcId dst = m.dst;
+      try {
+        link_->forward(std::move(m));
+      } catch (const MailboxClosed&) {
+        // Torn down: lost like every other message still in flight.
+      } catch (const std::exception& e) {
+        CCF_LOG_ERROR("fault", "held message " << id() << " -> " << dst
+                                               << " lost on release: " << e.what());
+      }
+    }
+  }
+
+  FaultEndpoint(const FaultEndpoint&) = delete;
+  FaultEndpoint& operator=(const FaultEndpoint&) = delete;
+
+  ProcId id() const override { return link_->inner->id(); }
+  Mailbox& inbox() override { return link_->inner->inbox(); }
+  bool under_pressure() const override { return link_->inner->under_pressure(); }
 
   void send(Message m) override {
     FaultDecision decision;
@@ -31,38 +65,29 @@ class FaultEndpoint final : public Endpoint,
       }
       if (decision.extra_delay_seconds > 0 && !decision.drop && !release) {
         // Hold this message back; the next send to the same destination
-        // (or shutdown) releases it — a delay realised as a reordering.
-        // If the draw also duplicated it, one copy (aliasing the same
-        // payload) still goes out on time so no delivery is lost.
+        // (or the sender's departure, or shutdown) releases it — a delay
+        // realised as a reordering. If the draw also duplicated it, one
+        // copy (aliasing the same payload) still goes out on time so no
+        // delivery is lost.
         if (decision.duplicate) dup_now = m;
-        owner_.held_.emplace(m.dst, FaultTransport::Held{shared_from_this(), std::move(m)});
+        owner_.held_.emplace(m.dst, FaultTransport::Held{link_, std::move(m)});
         held_now = true;
       }
     }
     if (held_now) {
-      if (dup_now) forward(std::move(*dup_now));
+      if (dup_now) link_->forward(std::move(*dup_now));
       return;
     }
     if (!decision.drop) {
-      if (decision.duplicate) forward(m);
-      forward(std::move(m));
+      if (decision.duplicate) link_->forward(m);
+      link_->forward(std::move(m));
     }
     if (release) release->via->forward(std::move(release->message));
   }
 
-  /// Sends through the inner endpoint. A held message is released by
-  /// whichever thread sends next to its destination, so this lock keeps
-  /// each inner endpoint used by one thread at a time, as the Endpoint
-  /// contract requires.
-  void forward(Message m) {
-    std::lock_guard<std::mutex> lock(forward_mutex_);
-    inner_->send(std::move(m));
-  }
-
  private:
   FaultTransport& owner_;
-  std::shared_ptr<Endpoint> inner_;
-  std::mutex forward_mutex_;
+  std::shared_ptr<FaultTransport::Link> link_;
 };
 
 FaultTransport::FaultTransport(std::shared_ptr<Transport> inner,

@@ -8,7 +8,8 @@
 //   * duplicate  — delivered twice (both aliasing one payload buffer)
 //   * delay      — held back until the next message to the same
 //                  destination (the decorator has no clock, so a delay
-//                  manifests as a reordering), flushed at shutdown
+//                  manifests as a reordering), or until its sender's
+//                  endpoint is released or the transport shuts down
 //
 // Decisions come from the same seeded FaultInjector, keyed by the
 // per-link message index, so a chaos schedule replays identically whether
@@ -47,12 +48,25 @@ class FaultTransport final : public Transport {
  private:
   friend class FaultEndpoint;
 
+  /// A sender's inner endpoint. A held message goes out on whichever
+  /// thread releases it, so the mutex keeps each inner endpoint used by
+  /// one thread at a time, as the Endpoint contract requires.
+  struct Link {
+    std::shared_ptr<Endpoint> inner;
+    std::mutex mutex;
+
+    void forward(Message m) {
+      std::lock_guard<std::mutex> lock(mutex);
+      inner->send(std::move(m));
+    }
+  };
+
   /// One held-back message per destination, released after the next send
-  /// to that destination; the sending endpoint is kept so the release
-  /// goes out through the same inner endpoint as the original send, in
+  /// to that destination, when its sender's endpoint is released, or at
+  /// shutdown. It goes out through the sender's own inner endpoint, in
   /// turn with that sender's own sends.
   struct Held {
-    std::shared_ptr<FaultEndpoint> via;
+    std::shared_ptr<Link> via;
     Message message;
   };
 

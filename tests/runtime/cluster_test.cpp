@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "runtime/cluster.hpp"
+#include "transport/fault.hpp"
 #include "transport/serialize.hpp"
 
 namespace ccf::runtime {
@@ -139,6 +140,33 @@ TEST(RealMode, ChargeCopyCostIsFree) {
     EXPECT_LT(ctx.now() - t0, 0.5);  // no gigabyte spin happened
   });
   cluster->run();
+}
+
+TEST(RealMode, DelayedFinalMessageArrivesAfterItsSenderReturns) {
+  // A delay is held inside FaultTransport until something releases it.
+  // When the sender's body returns right after its last send, its
+  // departure must release the message; nothing else will.
+  transport::FaultPlan plan;
+  plan.delay_prob = 1.0;
+  plan.delay_min_seconds = 0.01;
+  plan.delay_max_seconds = 0.01;
+  plan.max_faults = 1;
+  ClusterOptions o;
+  o.mode = ExecutionMode::RealThreads;
+  o.faults = std::make_shared<transport::FaultInjector>(plan);
+  auto cluster = make_cluster(o);
+  bool received = false;
+  cluster->add_process(0, [&](ProcessContext& ctx) {
+    transport::Writer w;
+    w.put<int>(7);
+    ctx.send(1, 3, w.take());
+  });
+  cluster->add_process(1, [&](ProcessContext& ctx) {
+    received = ctx.recv_until(MatchSpec{0, 3}, ctx.now() + 2.0).has_value();
+  });
+  cluster->run();
+  EXPECT_TRUE(received);
+  EXPECT_EQ(o.faults->stats().delayed, 1u);
 }
 
 }  // namespace

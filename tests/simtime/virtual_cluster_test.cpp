@@ -1,7 +1,11 @@
 // Virtual-time executor tests: deterministic ordering, time semantics,
-// message latency, deadlock detection, error propagation.
+// message latency, deadlock detection, error propagation, teardown.
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <exception>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "simtime/virtual_cluster.hpp"
@@ -177,6 +181,148 @@ TEST(VirtualCluster, BodyExceptionPropagates) {
     (void)ctx.recv(MatchSpec{kAnyProc, 1});  // would deadlock; abort must free it
   });
   EXPECT_THROW(cluster.run(), std::runtime_error);
+}
+
+TEST(VirtualCluster, YieldInsideCatchHandlerKeepsEachProcsException) {
+  // The exception a handler is working on belongs to its process: proc 1
+  // throws while proc 0 is suspended inside its handler, and each must
+  // still rethrow its own exception afterwards.
+  VirtualCluster cluster;
+  std::vector<std::string> rethrown(2);
+  std::vector<int> uncaught(2, -1);
+  for (int p = 0; p < 2; ++p) {
+    cluster.add_process(p, [&, p](SimContext& ctx) {
+      const auto slot = static_cast<std::size_t>(p);
+      try {
+        throw std::runtime_error("proc " + std::to_string(p));
+      } catch (const std::exception&) {
+        ctx.advance(1.0);
+        try {
+          throw;
+        } catch (const std::exception& e) {
+          rethrown[slot] = e.what();
+          uncaught[slot] = std::uncaught_exceptions();
+        }
+      }
+    });
+  }
+  cluster.run();
+  EXPECT_EQ(rethrown[0], "proc 0");
+  EXPECT_EQ(rethrown[1], "proc 1");
+  EXPECT_EQ(uncaught, (std::vector<int>{0, 0}));
+}
+
+/// Counts live body locals: run() must destroy every started body's
+/// locals on each abort path, and never start the bodies it skipped.
+struct BodyLocals {
+  int constructed = 0;
+  int destroyed = 0;
+  struct Guard {
+    explicit Guard(BodyLocals& c) : counts(c) { ++counts.constructed; }
+    ~Guard() { ++counts.destroyed; }
+    Guard(const Guard&) = delete;
+    Guard& operator=(const Guard&) = delete;
+    BodyLocals& counts;
+  };
+};
+
+TEST(VirtualCluster, DeadlockUnwindsEveryStartedBody) {
+  VirtualCluster cluster;
+  BodyLocals locals;
+  for (int p = 0; p < 4; ++p) {
+    cluster.add_process(p, [&](SimContext& ctx) {
+      BodyLocals::Guard guard(locals);
+      ctx.advance(0.5);
+      (void)ctx.recv(MatchSpec{kAnyProc, 99});  // never sent
+    });
+  }
+  EXPECT_THROW(cluster.run(), DeadlockError);
+  EXPECT_EQ(locals.constructed, 4);
+  EXPECT_EQ(locals.destroyed, 4);
+}
+
+TEST(VirtualCluster, BodyExceptionUnwindsStartedBodiesAndSkipsTheRest) {
+  VirtualCluster cluster;
+  BodyLocals locals;
+  bool late_body_ran = false;
+  cluster.add_process(0, [&](SimContext& ctx) {
+    BodyLocals::Guard guard(locals);
+    (void)ctx.recv(MatchSpec{kAnyProc, 1});
+  });
+  cluster.add_process(1, [&](SimContext& ctx) {
+    BodyLocals::Guard guard(locals);
+    ctx.advance(1.0);  // proc 0 stays suspended in recv meanwhile
+  });
+  cluster.add_process(2, [&](SimContext&) {
+    BodyLocals::Guard guard(locals);
+    throw std::runtime_error("boom");
+  });
+  cluster.add_process(3, [&](SimContext&) { late_body_ran = true; });  // queued after 2
+  EXPECT_THROW(cluster.run(), std::runtime_error);
+  EXPECT_EQ(locals.constructed, 3);
+  EXPECT_EQ(locals.destroyed, 3);
+  EXPECT_FALSE(late_body_ran);
+}
+
+TEST(VirtualCluster, MaxEventsUnwindsEveryStartedBody) {
+  VirtualCluster::Options opts;
+  opts.max_events = 50;
+  VirtualCluster cluster(opts);
+  BodyLocals locals;
+  for (int p = 0; p < 3; ++p) {
+    cluster.add_process(p, [&](SimContext& ctx) {
+      BodyLocals::Guard guard(locals);
+      for (;;) ctx.advance(0.001);
+    });
+  }
+  EXPECT_THROW(cluster.run(), util::InternalError);
+  EXPECT_EQ(locals.constructed, 3);
+  EXPECT_EQ(locals.destroyed, 3);
+}
+
+TEST(VirtualCluster, EachProcKeepsItsOwnRoundingMode) {
+  // The floating-point control state belongs to the process: proc 0
+  // rounds downward across a yield while proc 1 runs with the default.
+  VirtualCluster cluster;
+  std::vector<int> seen(3, -1);
+  cluster.add_process(0, [&](SimContext& ctx) {
+    std::fesetround(FE_DOWNWARD);
+    ctx.advance(1.0);
+    seen[0] = std::fegetround();
+    std::fesetround(FE_TONEAREST);
+  });
+  cluster.add_process(1, [&](SimContext& ctx) {
+    seen[1] = std::fegetround();
+    ctx.advance(2.0);
+    seen[2] = std::fegetround();
+  });
+  cluster.run();
+  EXPECT_EQ(seen, (std::vector<int>{FE_DOWNWARD, FE_TONEAREST, FE_TONEAREST}));
+}
+
+/// Recurses `depth` frames of 4 KiB each, yields at the bottom, and
+/// returns the number of frames whose contents survived.
+int deep_frames(SimContext& ctx, int depth) {
+  volatile char frame[4096];
+  frame[4095] = 1;
+  if (depth == 0) {
+    ctx.advance(1.0);
+    return frame[4095];
+  }
+  return deep_frames(ctx, depth - 1) + frame[4095];
+}
+
+TEST(VirtualCluster, BodiesGetThreadSizedStacks) {
+  // 2 MiB of frames, suspended at the bottom while the other proc runs.
+  VirtualCluster cluster;
+  std::vector<int> sums(2, -1);
+  for (int p = 0; p < 2; ++p) {
+    cluster.add_process(p, [&, p](SimContext& ctx) {
+      sums[static_cast<std::size_t>(p)] = deep_frames(ctx, 512);
+    });
+  }
+  cluster.run();
+  EXPECT_EQ(sums, (std::vector<int>{513, 513}));
 }
 
 TEST(VirtualCluster, MessageToFinishedProcessIsDropped) {
