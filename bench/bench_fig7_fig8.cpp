@@ -36,7 +36,8 @@ std::string run_arm(bool buddy_help) {
                                    {/*importer proc*/ 42}});
   core::FrameworkOptions options;
   options.trace = true;
-  ExportRegionState state("r1", one.domain(), 0, std::move(conns), options, /*rep=*/99);
+  const core::ControlRoute to_rep{/*rep=*/99, 1, 0, false};
+  ExportRegionState state("r1", one.domain(), 0, std::move(conns), options, to_rep);
 
   std::vector<double> block(16 * 16, 0.0);
   auto do_export = [&](double t) {

@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
   }
 
   system.run();
-  std::printf("\nrun complete in %.4f virtual seconds\n", system.end_time());
+  std::printf("\nrun complete in %.4f %s seconds\n", system.end_time(), system.clock());
 
   // Demonstrate the early error detection the separate configuration
   // enables: an importer whose region no one exports is rejected during

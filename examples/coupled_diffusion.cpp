@@ -119,7 +119,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(u_stats.no_matches));
   std::printf("matched forcing timestamps:");
   for (double t : u_stats.matched_timestamps) std::printf(" %.2f", t);
-  std::printf("\nend time: %.4f %s seconds\n", system.end_time(),
-              cli.get_bool("threads") ? "wall" : "virtual");
+  std::printf("\nend time: %.4f %s seconds\n", system.end_time(), system.clock());
   return 0;
 }

@@ -84,6 +84,6 @@ int main() {
       static_cast<unsigned long long>(stats.buffer.stores),
       static_cast<unsigned long long>(stats.buffer.skips),
       static_cast<unsigned long long>(stats.transfers));
-  std::printf("done in %.4f virtual seconds\n", system.end_time());
+  std::printf("done in %.4f %s seconds\n", system.end_time(), system.clock());
   return 0;
 }

@@ -57,9 +57,9 @@ Config Config::parse_string(const std::string& text) {
       spec.nprocs = static_cast<int>(std::strtol(tokens[3].c_str(), &end, 10));
       CCF_REQUIRE(end && *end == '\0' && spec.nprocs > 0,
                   "config line " << lineno << ": bad process count '" << tokens[3] << "'");
-      // Optional `fanin=F` / `shards=S` / `flush_count=N` / `flush_bytes=B`
-      // tokens configure the hierarchical representative layer; anything
-      // else goes to extra_args verbatim.
+      // Optional `fanin=F` / `shards=S` / `flush_count=N` tokens configure
+      // the program's control tree; anything else goes to extra_args
+      // verbatim.
       for (auto it = tokens.begin() + 4; it != tokens.end(); ++it) {
         int* field = nullptr;
         std::size_t prefix = 0;
@@ -71,9 +71,6 @@ Config Config::parse_string(const std::string& text) {
           prefix = 7;
         } else if (it->rfind("flush_count=", 0) == 0) {
           field = &spec.tree_flush_count;
-          prefix = 12;
-        } else if (it->rfind("flush_bytes=", 0) == 0) {
-          field = &spec.tree_flush_bytes;
           prefix = 12;
         }
         if (!field) {
@@ -140,9 +137,6 @@ void Config::add_program(ProgramSpec spec) {
   CCF_REQUIRE(spec.tree_flush_count >= 0,
               "program " << spec.name << ": tree_flush_count must be >= 0, got "
                          << spec.tree_flush_count);
-  CCF_REQUIRE(spec.tree_flush_bytes >= 0,
-              "program " << spec.name << ": tree_flush_bytes must be >= 0, got "
-                         << spec.tree_flush_bytes);
   programs_.push_back(std::move(spec));
 }
 

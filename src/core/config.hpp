@@ -10,8 +10,11 @@
 //   #
 //   P0.r1 P1.r1 REGL 0.2
 //
-// Lines that are exactly "#" separate the two sections; lines starting
-// with "#" otherwise are comments. Validation detects incorrect coupling
+// A program line may add `fanin=F`, `shards=S` and `flush_count=N`
+// tokens, which shape the program's control tree (ProgramSpec below; the
+// default is the paper's single flat rep, the depth-0 tree). Lines that
+// are exactly "#" separate the two sections; lines starting with "#"
+// otherwise are comments. Validation detects incorrect coupling
 // specifications early (e.g. a connection naming an undeclared program, or
 // two exporters feeding one imported region).
 #pragma once
@@ -32,14 +35,14 @@ struct ProgramSpec {
   int nprocs = 0;
   std::vector<std::string> extra_args;
 
-  /// Representative aggregation-tree fan-in (docs/PROTOCOL.md, "Hierarchical
-  /// representatives"). 0 keeps the single flat representative — the exact
-  /// pre-tree topology and wire traffic, byte for byte. A value F >= 2
-  /// interposes sub-representative relays between the workers and the rep:
-  /// every tree node has at most F children, so the rep's inbound control
-  /// traffic is bounded by F wire messages per collective wave instead of
-  /// one per rank. Config file syntax: a `fanin=F` token on the program
-  /// line. F == 1 is rejected (a one-child tree never contracts).
+  /// Representative control-tree fan-in (docs/PROTOCOL.md, "Hierarchical
+  /// representatives"). 0 keeps the paper's single flat representative:
+  /// the depth-0 tree, every worker a direct child of the rep. A value
+  /// F >= 2 interposes sub-representative relays between the workers and
+  /// the rep: every tree node has at most F children, so the rep's inbound
+  /// control traffic is bounded by F wire messages per collective wave
+  /// instead of one per rank. Config file syntax: a `fanin=F` token on the
+  /// program line. F == 1 is rejected (a one-child tree never contracts).
   int rep_fanin = 0;
 
   /// Number of sibling representative shards. Connection c is owned by
@@ -52,14 +55,9 @@ struct ProgramSpec {
   /// Sub-reps and rep shards normally buffer a whole drained wave before
   /// emitting one TreeUp/TreeDown frame per destination. A nonzero
   /// tree_flush_count flushes a destination's frame early once it holds
-  /// that many entries; a nonzero tree_flush_bytes flushes once the
-  /// buffered payload bytes reach the threshold. Either trigger fires
-  /// independently; the wave-end flush always remains, so 0/0 (the
-  /// default) reproduces today's one-frame-per-wave traffic byte for
-  /// byte. Config file syntax: `flush_count=N` / `flush_bytes=B` tokens
-  /// on the program line.
+  /// that many entries; the wave-end flush always remains. Config file
+  /// syntax: a `flush_count=N` token on the program line.
   int tree_flush_count = 0;
-  int tree_flush_bytes = 0;
 };
 
 struct ConnectionSpec {

@@ -1,15 +1,13 @@
 // Where a worker process sends its control traffic (docs/PROTOCOL.md,
 // "Hierarchical representatives").
 //
-// Flat layout (no tree): straight to the owning rep shard — connection c
-// is owned by shard c % shards, and with shards == 1 this is exactly the
-// single pre-tree rep. Aggregation tree: everything goes to the worker's
-// leaf sub-rep (`parent`), which batches entries into control frames and
-// routes them to the right shard at the top of the tree (whole waves by
-// default; partial frames when the layout's flush_count/flush_bytes
-// pipelining knobs are set — the routing is identical either way). A
-// worker whose sub-rep stops relaying (departure detection) re-parents by
-// clearing `has_parent`, falling back to the direct shard layer.
+// Upward, a worker talks to its parent in the program's control tree: its
+// leaf sub-rep, or — in the depth-0 (flat) tree — the root, the rep shard
+// set, where connection c is owned by shard c % shards. A sub-rep batches
+// entries into control frames and routes them to the right shard at the
+// top of the tree. A worker whose sub-rep stops relaying (departure
+// detection) re-parents by clearing `has_parent`, falling back to the
+// root.
 #pragma once
 
 #include "transport/message.hpp"
@@ -24,13 +22,8 @@ struct ControlRoute {
   ProcId parent = 0;   ///< leaf sub-rep id, valid when has_parent
   bool has_parent = false;
 
-  bool via_parent() const { return has_parent; }
-
   /// Destination for a control message scoped to connection `conn`.
-  ProcId up_conn(int conn) const {
-    if (has_parent) return parent;
-    return base + (shards > 1 ? conn % shards : 0);
-  }
+  ProcId up_conn(int conn) const { return has_parent ? parent : base + conn % shards; }
 
   /// Destination for a message bound for shard `s` specifically.
   ProcId up_shard(int s) const { return has_parent ? parent : base + s; }

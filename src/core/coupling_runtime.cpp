@@ -16,14 +16,12 @@ using transport::Writer;
 namespace {
 
 // One logical proc->rep control send for program-wide (not per-connection)
-// tags: once to the parent sub-rep when the aggregation tree is on (the
-// top-level sub-rep duplicates program-wide tags to every shard), else
-// directly to each rep shard. With the default flat single-shard layout
-// this is exactly one send to the rep — byte-identical to the pre-tree
-// protocol.
+// tags: once to the parent sub-rep (the top-level sub-rep duplicates
+// program-wide tags to every shard), or to every shard when the worker's
+// parent is the root.
 void send_up_all(runtime::ProcessContext& ctx, const ControlRoute& route, Tag tag,
                  const transport::Payload& payload) {
-  if (route.via_parent()) {
+  if (route.has_parent) {
     ctx.send(route.parent, tag, payload);
     return;
   }
@@ -47,11 +45,9 @@ CouplingRuntime::CouplingRuntime(runtime::ProcessContext& ctx, const Config& con
   CCF_REQUIRE(ctx_.id() == pl.proc(rank_),
               "process id " << ctx_.id() << " does not match layout for " << program_
                             << " rank " << rank_);
-  rep_ = pl.rep;
-  route_.base = pl.rep;
-  route_.shards = pl.shards;
-  if (const int parent = pl.parent_of_rank(rank_); parent >= 0) {
-    route_.parent = pl.subrep(parent);
+  route_ = ControlRoute{pl.rep, pl.shards, 0, false};
+  if (const TreeNode up = pl.parent(TreeNode{0, rank_}); !pl.is_root(up)) {
+    route_.parent = pl.id(up);
     route_.has_parent = true;
   }
   if (options_.memory.governed()) {
@@ -116,9 +112,8 @@ void CouplingRuntime::commit() {
 
   // Every rep shard broadcasts the peer geometry of the connections it
   // owns:
-  //   [u32 shard — sharded reps only] u32 n; n x { u32 conn, RegionMeta }.
-  // A process is committed once it holds all shards' pieces; the default
-  // single-shard deployment receives exactly the one pre-tree broadcast.
+  //   u32 shard; u32 n; n x { u32 conn, RegionMeta }.
+  // A process is committed once it holds all shards' pieces.
   std::map<std::uint32_t, RegionMeta> peer_meta;
   std::set<int> meta_seen;
   auto meta_spec = [&] {
@@ -128,8 +123,7 @@ void CouplingRuntime::commit() {
   };
   auto absorb_meta = [&](const Message& m) {
     Reader r(m.payload);
-    int shard = 0;
-    if (route_.shards > 1) shard = static_cast<int>(r.get<std::uint32_t>());
+    const int shard = static_cast<int>(r.get<std::uint32_t>());
     const auto n = r.get<std::uint32_t>();
     for (std::uint32_t i = 0; i < n; ++i) {
       const auto conn = r.get<std::uint32_t>();
@@ -202,8 +196,7 @@ void CouplingRuntime::commit() {
       conn_configs.push_back(std::move(cfg));
     }
     region.state = std::make_unique<ExportRegionState>(
-        name, region.decomp.box_of(rank_), rank_, std::move(conn_configs), options_, rep_);
-    region.state->set_control_route(&route_);
+        name, region.decomp.box_of(rank_), rank_, std::move(conn_configs), options_, route_);
     region.state->attach_memory(governor_.get(), spill_.get());
   }
 
@@ -380,12 +373,8 @@ void CouplingRuntime::handle_control(const Message& m) {
       // nudge raced with the original broadcast's delivery, or the rep is
       // re-broadcasting because our ack was lost): re-acknowledge.
       if (options_.failure_tolerance()) {
-        int shard = 0;
-        if (route_.shards > 1) {
-          Reader r(m.payload);
-          shard = static_cast<int>(r.get<std::uint32_t>());
-        }
-        send_meta_ack(shard);
+        Reader r(m.payload);
+        send_meta_ack(static_cast<int>(r.get<std::uint32_t>()));
       }
       break;
     default:
@@ -436,25 +425,15 @@ void CouplingRuntime::maybe_reparent() {
 }
 
 void CouplingRuntime::note_shutdown(const transport::Payload& payload) {
-  if (route_.shards <= 1) {
-    shutdown_seen_ = true;
-    return;
-  }
   Reader r(payload);
   shutdown_shards_.insert(static_cast<int>(r.get<std::uint32_t>()));
   if (static_cast<int>(shutdown_shards_.size()) >= route_.shards) shutdown_seen_ = true;
 }
 
 void CouplingRuntime::send_meta_ack(int shard) {
-  const ProcId dest = route_.up_shard(shard);
-  if (route_.shards == 1 && !route_.has_parent) {
-    // Flat single-shard layout: the pre-tree empty-payload ack, unchanged.
-    ctx_.send(dest, kTagMetaAck, transport::empty_payload());
-    return;
-  }
   Writer w;
   w.put<std::uint32_t>(static_cast<std::uint32_t>(shard));
-  ctx_.send(dest, kTagMetaAck, w.take());
+  ctx_.send(route_.up_shard(shard), kTagMetaAck, w.take());
 }
 
 void CouplingRuntime::export_region(const std::string& name, Timestamp t,

@@ -145,9 +145,8 @@ class CouplingRuntime {
   /// on). No-op when already direct or departure detection is off.
   void maybe_reparent();
 
-  /// Records one ShutdownProc from a rep shard; with a sharded rep the
-  /// payload names the shard and shutdown_seen_ flips only once every
-  /// shard has reported.
+  /// Records one ShutdownProc from a rep shard (the payload names the
+  /// shard); shutdown_seen_ flips once every shard has reported.
   void note_shutdown(const transport::Payload& payload);
 
   /// Acknowledges (or re-acknowledges) shard `shard`'s geometry broadcast.
@@ -166,12 +165,11 @@ class CouplingRuntime {
   std::string program_;
   int rank_;
   FrameworkOptions options_;
-  ProcId rep_;          ///< shard 0 id (route_.base)
   ControlRoute route_;  ///< where control traffic goes: parent sub-rep or shards
   bool committed_ = false;
   bool finalized_ = false;
   bool shutdown_seen_ = false;
-  std::set<int> shutdown_shards_;  ///< shards whose ShutdownProc arrived (S > 1)
+  std::set<int> shutdown_shards_;  ///< shards whose ShutdownProc arrived
   std::map<std::string, ExportRegion> export_regions_;
   std::map<std::string, ImportRegion> import_regions_;
   /// Answers parked per connection, keyed by request seq (the fabric may

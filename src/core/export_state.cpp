@@ -11,14 +11,13 @@ namespace ccf::core {
 
 ExportRegionState::ExportRegionState(std::string region_name, dist::Box local_box, int my_rank,
                                      std::vector<ExportConnConfig> conns,
-                                     const FrameworkOptions& options, ProcId rep_id)
+                                     const FrameworkOptions& options,
+                                     const ControlRoute& route)
     : name_(std::move(region_name)),
       local_box_(local_box),
       my_rank_(my_rank),
       options_(options),
-      rep_id_(rep_id),
-      default_route_{rep_id, 1, 0, false},
-      route_(&default_route_),
+      route_(route),
       trace_("D", options.trace, options.trace_max_events) {
   stats_.region = name_;
   pool_.set_arena_limits(options.memory.arena_capacity, options.memory.arena_max_bytes);
@@ -185,7 +184,7 @@ void ExportRegionState::send_response(Conn& conn, std::uint32_t seq, const Match
   resp.result = answer.result;
   resp.matched = answer.matched;
   resp.latest_exported = answer.latest_exported;
-  ctx.send(route_->up_conn(static_cast<int>(resp.conn)), kTagProcResponse, resp.encode());
+  ctx.send(route_.up_conn(static_cast<int>(resp.conn)), kTagProcResponse, resp.encode());
 }
 
 void ExportRegionState::send_data(Conn& conn, std::uint32_t seq, Timestamp match,
@@ -312,7 +311,7 @@ void ExportRegionState::replay_response(Conn& conn, std::uint32_t seq, ProcessCo
     resp.result = it->second.result;
     resp.matched = it->second.matched;
     resp.latest_exported = conn.history.latest();
-    ctx.send(route_->up_conn(static_cast<int>(resp.conn)), kTagProcResponse, resp.encode());
+    ctx.send(route_.up_conn(static_cast<int>(resp.conn)), kTagProcResponse, resp.encode());
     return;
   }
   // Still unresolved here: PENDING is always a legal (re)answer, and the
@@ -325,7 +324,7 @@ void ExportRegionState::replay_response(Conn& conn, std::uint32_t seq, ProcessCo
     resp.result = MatchResult::Pending;
     resp.matched = kNeverExported;
     resp.latest_exported = conn.history.latest();
-    ctx.send(route_->up_conn(static_cast<int>(resp.conn)), kTagProcResponse, resp.encode());
+    ctx.send(route_.up_conn(static_cast<int>(resp.conn)), kTagProcResponse, resp.encode());
     return;
   }
   // Ancient (evicted from the resolved window): the collective answer was

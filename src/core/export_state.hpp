@@ -58,9 +58,11 @@ struct ExportConnConfig {
 
 class ExportRegionState {
  public:
+  /// Rep-bound control messages (ProcResponse) go up `route`, which the
+  /// owning runtime shares and may re-parent; it must outlive this object.
   ExportRegionState(std::string region_name, dist::Box local_box, int my_rank,
                     std::vector<ExportConnConfig> conns, const FrameworkOptions& options,
-                    ProcId rep_id);
+                    const ControlRoute& route);
 
   /// The collective export call: decides buffer/skip per connection,
   /// snapshots if needed, ships any now-satisfiable matched transfer, and
@@ -92,15 +94,6 @@ class ExportRegionState {
   /// a dead importer releases its snapshots and continues in degraded,
   /// unconnected mode. Returns the number of connections closed.
   std::size_t degrade_open_conns(ProcessContext& ctx);
-
-  /// Redirects this region's rep-bound control messages (ProcResponse)
-  /// through a shared route — the aggregation tree's leaf sub-rep or the
-  /// owning rep shard (docs/PROTOCOL.md). `route` must outlive this object;
-  /// null restores the default direct route to the ctor's rep id. Called by
-  /// the runtime right after construction.
-  void set_control_route(const ControlRoute* route) {
-    route_ = route != nullptr ? route : &default_route_;
-  }
 
   /// Wires the process-wide memory governor and spill store into this
   /// region's pool (both may be null). Called by the runtime right after
@@ -223,9 +216,7 @@ class ExportRegionState {
   int my_rank_;
   std::vector<Conn> conns_;
   FrameworkOptions options_;
-  ProcId rep_id_;
-  ControlRoute default_route_;  ///< direct to rep_id_, single shard
-  const ControlRoute* route_ = nullptr;
+  const ControlRoute& route_;
   BufferPool pool_;
   ExportRegionStats stats_;
   dist::TransferStats xfer_;  ///< data-plane copy accounting across all sends

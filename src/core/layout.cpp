@@ -1,8 +1,37 @@
 #include "core/layout.hpp"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "util/check.hpp"
 
 namespace ccf::core {
+
+namespace {
+
+int ceil_div(int a, std::int64_t b) { return static_cast<int>((a + b - 1) / b); }
+
+}  // namespace
+
+ProgramLayout::ProgramLayout(const ProgramSpec& spec, ProcId first_id)
+    : name(spec.name),
+      nprocs(spec.nprocs),
+      first(first_id),
+      rep(first_id + spec.nprocs),
+      shards(spec.rep_shards),
+      flush_count(spec.tree_flush_count),
+      subrep_first(rep + spec.rep_shards),
+      fanin_(spec.rep_fanin >= 2 ? spec.rep_fanin : spec.nprocs),
+      span_{1},
+      level_first_{0} {
+  // Add levels bottom-up until one node covers every rank: the root.
+  do {
+    span_.push_back(span_.back() * fanin_);
+  } while (span_.back() < nprocs);
+  for (int level = 1; level <= depth(); ++level) {
+    level_first_.push_back(level_first_.back() + nodes_at(level));
+  }
+}
 
 ProcId ProgramLayout::proc(int rank) const {
   CCF_REQUIRE(rank >= 0 && rank < nprocs,
@@ -17,90 +46,50 @@ std::vector<ProcId> ProgramLayout::proc_ids() const {
   return ids;
 }
 
-int ProgramLayout::parent_of_rank(int rank) const {
-  if (tree.empty()) return -1;
-  for (std::size_t i = 0; i < tree.size(); ++i) {
-    if (!tree[i].leaf_level) continue;
-    for (int c : tree[i].children) {
-      if (c == rank) return static_cast<int>(i);
-    }
-  }
-  return -1;
+int ProgramLayout::nodes_at(int level) const {
+  CCF_REQUIRE(level >= 0 && level <= depth() + 1, "tree level " << level << " outside " << name);
+  return ceil_div(nprocs, span_[static_cast<std::size_t>(level)]);
 }
 
-std::vector<int> ProgramLayout::top_nodes() const {
-  std::vector<int> out;
-  for (std::size_t i = 0; i < tree.size(); ++i) {
-    if (tree[i].parent == -1) out.push_back(static_cast<int>(i));
-  }
-  return out;
+TreeNode ProgramLayout::subrep_node(int k) const {
+  CCF_REQUIRE(k >= 0 && k < subrep_count(), "sub-rep " << k << " outside tree of " << name);
+  const auto above = std::upper_bound(level_first_.begin(), level_first_.end(), k);
+  const int level = static_cast<int>(above - level_first_.begin());
+  return TreeNode{level, k - level_first_[static_cast<std::size_t>(level - 1)]};
 }
 
-std::vector<int> ProgramLayout::subtree_ranks(int node) const {
-  std::vector<int> out;
-  std::vector<int> stack{node};
-  while (!stack.empty()) {
-    const TreeNode& n = tree[static_cast<std::size_t>(stack.back())];
-    stack.pop_back();
-    if (n.leaf_level) {
-      out.insert(out.end(), n.children.begin(), n.children.end());
-    } else {
-      stack.insert(stack.end(), n.children.begin(), n.children.end());
-    }
-  }
-  return out;
+ProcId ProgramLayout::id(TreeNode n) const {
+  CCF_REQUIRE(n.level >= 0 && n.level <= depth() && n.index >= 0 && n.index < nodes_at(n.level),
+              "no process at tree node (" << n.level << ", " << n.index << ") of " << name);
+  if (n.level == 0) return proc(n.index);
+  return subrep_first + level_first_[static_cast<std::size_t>(n.level - 1)] + n.index;
 }
 
-std::vector<TreeNode> ProgramLayout::build_tree(int nprocs, int fanin) {
-  std::vector<TreeNode> tree;
-  if (fanin < 2 || nprocs <= fanin) return tree;
+TreeNode ProgramLayout::parent(TreeNode n) const {
+  CCF_REQUIRE(n.level >= 0 && n.level <= depth(), "the root of " << name << " has no parent");
+  return TreeNode{n.level + 1, n.index / fanin_};
+}
 
-  // Bottom layer: group worker ranks into ceil(nprocs / fanin) leaf-level
-  // sub-reps of at most `fanin` consecutive ranks each.
-  std::vector<int> layer;  // node indices of the layer just built
-  for (int base = 0; base < nprocs; base += fanin) {
-    TreeNode node;
-    node.leaf_level = true;
-    for (int r = base; r < nprocs && r < base + fanin; ++r) node.children.push_back(r);
-    layer.push_back(static_cast<int>(tree.size()));
-    tree.push_back(std::move(node));
-  }
+ProgramLayout::Range ProgramLayout::children(TreeNode n) const {
+  CCF_REQUIRE(n.level >= 1 && n.level <= depth() + 1,
+              "tree level " << n.level << " of " << name << " has no children");
+  return Range{n.index * fanin_, std::min((n.index + 1) * fanin_, nodes_at(n.level - 1))};
+}
 
-  // Interior layers: contract until at most `fanin` nodes remain, which
-  // attach to the rep shards directly (parent == -1).
-  while (static_cast<int>(layer.size()) > fanin) {
-    std::vector<int> next;
-    for (std::size_t base = 0; base < layer.size(); base += static_cast<std::size_t>(fanin)) {
-      TreeNode node;
-      for (std::size_t j = base; j < layer.size() && j < base + static_cast<std::size_t>(fanin);
-           ++j) {
-        node.children.push_back(layer[j]);
-      }
-      const int idx = static_cast<int>(tree.size());
-      for (int c : node.children) tree[static_cast<std::size_t>(c)].parent = idx;
-      next.push_back(idx);
-      tree.push_back(std::move(node));
-    }
-    layer = std::move(next);
+int ProgramLayout::child_toward(TreeNode n, int rank) const {
+  CCF_REQUIRE(n.level >= 1 && n.level <= depth() + 1,
+              "tree level " << n.level << " of " << name << " has no children");
+  const std::int64_t span = span_[static_cast<std::size_t>(n.level)];
+  if (rank < 0 || rank >= nprocs || rank < span * n.index || rank >= span * (n.index + 1)) {
+    return -1;
   }
-  return tree;
+  return static_cast<int>(rank / span_[static_cast<std::size_t>(n.level - 1)]);
 }
 
 DeploymentLayout::DeploymentLayout(const Config& config) {
   for (const auto& spec : config.programs()) {
-    ProgramLayout layout;
-    layout.name = spec.name;
-    layout.nprocs = spec.nprocs;
-    layout.shards = spec.rep_shards;
-    layout.fanin = spec.rep_fanin;
-    layout.flush_count = spec.tree_flush_count;
-    layout.flush_bytes = spec.tree_flush_bytes;
-    layout.first = next_id_;
-    layout.rep = next_id_ + spec.nprocs;
-    layout.tree = ProgramLayout::build_tree(spec.nprocs, spec.rep_fanin);
-    layout.subrep_first = layout.rep + layout.shards;
-    next_id_ = layout.subrep_first + static_cast<ProcId>(layout.tree.size());
-    programs_.push_back(std::move(layout));
+    const ProgramLayout& layout = programs_.emplace_back(spec, next_id_);
+    next_id_ = layout.subrep_first + layout.subrep_count();
   }
 }
 
@@ -109,17 +98,6 @@ const ProgramLayout& DeploymentLayout::program(const std::string& name) const {
     if (p.name == name) return p;
   }
   throw util::InvalidArgument("unknown program '" + name + "' in layout");
-}
-
-DeploymentLayout::Owner DeploymentLayout::owner_of(ProcId id) const {
-  for (const auto& p : programs_) {
-    if (id >= p.first && id < p.first + p.nprocs) return Owner{p.name, static_cast<int>(id - p.first)};
-    if (id >= p.rep && id < p.rep + p.shards) return Owner{p.name, -1};
-    if (id >= p.subrep_first && id < p.subrep_first + static_cast<ProcId>(p.tree.size())) {
-      return Owner{p.name, -2};
-    }
-  }
-  throw util::InvalidArgument("process id " + std::to_string(id) + " not in layout");
 }
 
 }  // namespace ccf::core

@@ -4,6 +4,7 @@
 #include <set>
 #include <utility>
 
+#include "core/fanout.hpp"
 #include "core/protocol.hpp"
 #include "core/rep_state.hpp"
 #include "util/check.hpp"
@@ -18,88 +19,6 @@ using transport::kAnyTag;
 using transport::Reader;
 using transport::Writer;
 
-namespace {
-
-/// Downward fan-out of one rep shard. Flat layout: every send goes straight
-/// to the worker (the pre-tree wire traffic, byte for byte). Tree layout:
-/// sends are buffered as frame entries, one frame per top-level sub-rep per
-/// processed wave — so a collective broadcast costs the rep O(fan-in) wire
-/// messages instead of O(nprocs). With pipelined aggregation (the layout's
-/// flush_count/flush_bytes knobs) a destination's partial frame ships as
-/// soon as the threshold fills, overlapping the sub-rep's unwrapping with
-/// the rest of the rep's wave. Ranks known to have re-parented (their
-/// sub-rep died) are served directly in addition to the tree.
-struct DownLink {
-  runtime::ProcessContext& ctx;
-  const ProgramLayout& pl;
-  RepResult& result;
-  const bool enabled;
-  std::vector<int> tops;                      ///< top-level tree node indices
-  std::vector<int> rank_to_top;               ///< rank -> index into tops
-  std::vector<std::vector<FrameEntry>> buf;   ///< pending entries per top node
-  std::vector<std::size_t> buf_bytes;         ///< payload bytes pending per top node
-  std::set<int> direct_ranks;                 ///< re-parented: bypass the tree
-
-  DownLink(runtime::ProcessContext& c, const ProgramLayout& p, RepResult& r)
-      : ctx(c), pl(p), result(r), enabled(!p.tree.empty()) {
-    if (!enabled) return;
-    tops = pl.top_nodes();
-    rank_to_top.assign(static_cast<std::size_t>(pl.nprocs), 0);
-    for (std::size_t i = 0; i < tops.size(); ++i) {
-      for (int rank : pl.subtree_ranks(tops[i])) {
-        rank_to_top[static_cast<std::size_t>(rank)] = static_cast<int>(i);
-      }
-    }
-    buf.resize(tops.size());
-    buf_bytes.assign(tops.size(), 0);
-  }
-
-  void flush_one(std::size_t i) {
-    if (buf[i].empty()) return;
-    ctx.send(pl.subrep(tops[i]), kTagTreeDown, encode_frame(buf[i]));
-    ++result.frames_out;
-    result.frame_entries_out += buf[i].size();
-    buf[i].clear();
-    buf_bytes[i] = 0;
-  }
-
-  void push(std::size_t i, FrameEntry e) {
-    buf_bytes[i] += e.payload.size();
-    buf[i].push_back(std::move(e));
-    if ((pl.flush_count > 0 && buf[i].size() >= static_cast<std::size_t>(pl.flush_count)) ||
-        (pl.flush_bytes > 0 && buf_bytes[i] >= static_cast<std::size_t>(pl.flush_bytes))) {
-      flush_one(i);
-    }
-  }
-
-  void bcast(transport::Tag tag, const transport::Payload& p) {
-    if (!enabled) {
-      for (ProcId proc : pl.proc_ids()) ctx.send(proc, tag, p);
-      return;
-    }
-    for (std::size_t i = 0; i < buf.size(); ++i) {
-      push(i, FrameEntry{kFrameBroadcast, tag, p});
-    }
-    for (int r : direct_ranks) ctx.send(pl.proc(r), tag, p);
-  }
-
-  void to_rank(int rank, transport::Tag tag, const transport::Payload& p) {
-    if (!enabled || direct_ranks.count(rank)) {
-      ctx.send(pl.proc(rank), tag, p);
-      return;
-    }
-    push(static_cast<std::size_t>(rank_to_top[static_cast<std::size_t>(rank)]),
-         FrameEntry{rank, tag, p});
-  }
-
-  void flush() {
-    if (!enabled) return;
-    for (std::size_t i = 0; i < buf.size(); ++i) flush_one(i);
-  }
-};
-
-}  // namespace
-
 RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
                   const DeploymentLayout& layout, const std::string& program_name,
                   FrameworkOptions options, int shard) {
@@ -109,7 +28,7 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
 
   // This shard owns the connections with conn % shards == shard; peers
   // address it the same way (ProgramLayout::control_target).
-  auto owned = [&](int conn) { return pl.shards <= 1 || conn % pl.shards == shard; };
+  auto owned = [&](int conn) { return conn % pl.shards == shard; };
   std::vector<int> export_conns, import_conns;
   for (int conn : config.connections_of_exporter_program(program_name)) {
     if (owned(conn)) export_conns.push_back(conn);
@@ -128,7 +47,7 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
   auto is_own_proc = [&](ProcId id) { return id >= pl.first && id < pl.first + pl.nprocs; };
 
   RepResult result;
-  DownLink down(ctx, pl, result);
+  DownFanout down(ctx, pl, pl.root());
   std::map<int, RequestAggregator> aggregators;
   for (int conn : export_conns) {
     aggregators.emplace(conn, RequestAggregator(pl.nprocs, options.buddy_help));
@@ -273,10 +192,8 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
   auto maybe_broadcast_meta = [&] {
     if (meta_broadcast || !defs_received || peer_meta.size() != participated) return;
     Writer w;
-    // Multi-shard layouts prefix the shard id so workers can collect and
-    // merge every shard's broadcast; the single-shard payload stays
-    // byte-identical to the pre-shard wire format.
-    if (pl.shards > 1) w.put<std::uint32_t>(static_cast<std::uint32_t>(shard));
+    // The shard id lets workers collect and merge every shard's broadcast.
+    w.put<std::uint32_t>(static_cast<std::uint32_t>(shard));
     w.put<std::uint32_t>(static_cast<std::uint32_t>(peer_meta.size()));
     for (const auto& [conn, meta] : peer_meta) {
       // Validate geometry agreement for conns this program imports on:
@@ -576,11 +493,12 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
       return;
     }
     if (options.rep_dispatch_seconds > 0) ctx.compute(options.rep_dispatch_seconds);
-    if (down.enabled && is_own_proc(m.src)) {
-      // With a tree up, a worker only ever speaks to us directly after
-      // re-parenting (its sub-rep stopped relaying): serve it directly
-      // from now on — tree frames toward it may be black-holed.
-      down.direct_ranks.insert(static_cast<int>(m.src - pl.first));
+    if (is_own_proc(m.src)) {
+      // With sub-reps below us, a worker only ever speaks to us directly
+      // after re-parenting (its sub-rep stopped relaying): serve it
+      // directly from now on — tree frames toward it may be black-holed.
+      // In a depth-0 tree every worker is a direct child and this is a no-op.
+      down.mark_direct(static_cast<int>(m.src - pl.first));
     }
     handle(m.src, m.tag, m.payload);
   };
@@ -665,23 +583,18 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
       m = ctx.recv(MatchSpec{kAnyProc, kAnyTag});
     }
     process(m);
-    if (down.enabled) {
-      // Drain the rest of the wave so simultaneous arrivals coalesce into
-      // one down-frame per top-level sub-rep. (Flat layouts keep the
-      // strict one-message-per-iteration loop — byte-identical traffic.)
-      while (auto more = ctx.try_recv(MatchSpec{kAnyProc, kAnyTag})) process(*more);
-      down.flush();
-    }
+    // Drain the rest of the wave so simultaneous arrivals coalesce into
+    // one down-frame per top-level sub-rep.
+    while (auto more = ctx.try_recv(MatchSpec{kAnyProc, kAnyTag})) process(*more);
+    down.flush();
   }
 
-  transport::Payload shutdown_payload = transport::empty_payload();
-  if (pl.shards > 1) {
-    Writer w;
-    w.put<std::uint32_t>(static_cast<std::uint32_t>(shard));
-    shutdown_payload = w.take();
-  }
-  down.bcast(kTagShutdownProc, shutdown_payload);
+  Writer shutdown;
+  shutdown.put<std::uint32_t>(static_cast<std::uint32_t>(shard));
+  down.bcast(kTagShutdownProc, shutdown.take());
   down.flush();
+  result.frames_out = down.counts().frames;
+  result.frame_entries_out = down.counts().frame_entries;
   for (const auto& [conn, agg] : aggregators) {
     const auto& log = agg.answer_log();
     result.answers.insert(result.answers.end(), log.begin(), log.end());

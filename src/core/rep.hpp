@@ -39,8 +39,8 @@ struct RepResult {
   std::uint64_t pressure_notices = 0;    ///< Pressure notes sent to importer reps
   std::uint64_t pressure_broadcasts = 0; ///< PressureBcast fan-outs to own procs
 
-  // Aggregation-tree accounting (docs/PROTOCOL.md; the tree-off defaults
-  // leave frames_* zero and make wire_in the plain inbound message count).
+  // Control-tree accounting (docs/PROTOCOL.md; a depth-0 tree leaves
+  // frames_* zero and makes wire_in the plain inbound message count).
   std::uint64_t wire_in = 0;             ///< inbound control wire messages
   std::uint64_t frames_in = 0;           ///< batched up-frames among them
   std::uint64_t frame_entries_in = 0;    ///< entries unpacked from up-frames
@@ -56,7 +56,7 @@ struct RepResult {
 /// Runs rep shard `shard` to completion. Intended as the process body for
 /// the program's rep slot(s) in the deployment layout. A shard owns the
 /// connections with `conn % shards == shard`; with the default single
-/// shard that is every connection (the pre-shard behavior, byte for byte).
+/// shard that is every connection.
 RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
                   const DeploymentLayout& layout, const std::string& program_name,
                   FrameworkOptions options = {}, int shard = 0);

@@ -85,7 +85,7 @@ void print_run_report(const CoupledSystem& system, std::ostream& os) {
     }
     os << "\n";
   }
-  os << "end time: " << system.end_time() << " s\n";
+  os << "end time: " << system.end_time() << " " << system.clock() << " seconds\n";
 }
 
 void write_run_report_csv(const CoupledSystem& system, const std::string& path) {

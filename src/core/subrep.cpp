@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/fanout.hpp"
 #include "core/protocol.hpp"
 #include "util/check.hpp"
 
@@ -50,24 +51,11 @@ SubRepResult run_subrep(runtime::ProcessContext& ctx, const Config& config,
                         int node_index, FrameworkOptions options) {
   (void)config;
   const ProgramLayout& pl = layout.program(program_name);
-  CCF_REQUIRE(node_index >= 0 && node_index < static_cast<int>(pl.tree.size()),
-              "sub-rep node " << node_index << " outside tree of " << program_name);
-  const TreeNode& node = pl.tree[static_cast<std::size_t>(node_index)];
-  CCF_REQUIRE(ctx.id() == pl.subrep(node_index), "sub-rep body running on wrong process id");
-  const bool top = node.parent == -1;
-
-  // Child process ids, and — for interior nodes — which child subtree each
-  // worker rank lives in (down-frame splitting).
-  std::vector<ProcId> child_ids;
-  std::vector<std::vector<int>> child_ranks;  ///< ranks per child, index-aligned
-  std::vector<int> rank_to_child(static_cast<std::size_t>(pl.nprocs), -1);
-  for (std::size_t i = 0; i < node.children.size(); ++i) {
-    const int c = node.children[i];
-    child_ids.push_back(node.leaf_level ? pl.proc(c) : pl.subrep(c));
-    std::vector<int> ranks = node.leaf_level ? std::vector<int>{c} : pl.subtree_ranks(c);
-    for (int r : ranks) rank_to_child[static_cast<std::size_t>(r)] = static_cast<int>(i);
-    child_ranks.push_back(std::move(ranks));
-  }
+  const TreeNode node = pl.subrep_node(node_index);
+  CCF_REQUIRE(ctx.id() == pl.subrep_first + node_index,
+              "sub-rep body running on wrong process id");
+  const TreeNode parent = pl.parent(node);
+  const bool top = pl.is_root(parent);
 
   const bool tolerant =
       options.failure_tolerance() && options.departure_timeout_seconds > 0;
@@ -75,53 +63,45 @@ SubRepResult run_subrep(runtime::ProcessContext& ctx, const Config& config,
                        options.debug_kill_subrep_program == program_name;
 
   SubRepResult res;
+  DownFanout down(ctx, pl, node);
   std::uint64_t up_seq = 0;  ///< mutation hook counter
   std::set<int> shutdown_shards;
   double last_down_seen = ctx.now();
 
   // Upward coalescing buffers: one frame per destination per wave. Interior
   // nodes have a single destination (the parent node); top nodes route
-  // per rep shard. With pipelined aggregation (flush_count/flush_bytes) a
+  // per rep shard. With pipelined aggregation (flush_count) a
   // destination's partial frame ships as soon as the threshold fills, so
   // the parent starts dispatching entries while this node is still
   // draining its wave; the wave-end flush keeps liveness.
-  const std::size_t up_dests = top ? static_cast<std::size_t>(pl.shards) : 1;
-  std::vector<std::vector<FrameEntry>> up(up_dests);
-  std::vector<std::size_t> up_bytes(up_dests, 0);
+  std::vector<std::vector<FrameEntry>> up(top ? static_cast<std::size_t>(pl.shards) : 1);
 
   auto flush_dest = [&](std::size_t d) {
     if (up[d].empty()) return;
-    const ProcId dest = top ? pl.shard_id(static_cast<int>(d)) : pl.subrep(node.parent);
+    const ProcId dest = top ? pl.shard_id(static_cast<int>(d)) : pl.id(parent);
     ctx.send(dest, kTagTreeUp, encode_frame(up[d]));
     ++res.frames_up;
     res.entries_up += up[d].size();
     up[d].clear();
-    up_bytes[d] = 0;
   };
 
-  auto threshold_hit = [&](std::size_t d) {
-    return (pl.flush_count > 0 &&
-            up[d].size() >= static_cast<std::size_t>(pl.flush_count)) ||
-           (pl.flush_bytes > 0 && up_bytes[d] >= static_cast<std::size_t>(pl.flush_bytes));
+  auto push_to = [&](std::size_t d, FrameEntry e) {
+    up[d].push_back(std::move(e));
+    if (pl.flush_count > 0 && up[d].size() >= static_cast<std::size_t>(pl.flush_count)) {
+      flush_dest(d);
+    }
   };
 
   auto push_up = [&](FrameEntry e) {
     if (mutate_tree() && (++up_seq % 3 == 0)) return;  // drop every 3rd entry
-    if (top && pl.shards > 1 && all_shard_tag(e.tag)) {
-      for (std::size_t d = 0; d < up.size(); ++d) {
-        up[d].push_back(e);  // payload shared, zero-copy
-        up_bytes[d] += e.payload.size();
-        if (threshold_hit(d)) flush_dest(d);
-      }
-      return;
+    if (!top) {
+      push_to(0, std::move(e));
+    } else if (all_shard_tag(e.tag)) {
+      for (std::size_t d = 0; d < up.size(); ++d) push_to(d, e);  // payload shared, zero-copy
+    } else {
+      const std::size_t shard = leading_u32(e.payload) % up.size();
+      push_to(shard, std::move(e));
     }
-    const int shard = top && pl.shards > 1
-                          ? static_cast<int>(leading_u32(e.payload)) % pl.shards
-                          : 0;
-    const auto d = static_cast<std::size_t>(shard);
-    up_bytes[d] += e.payload.size();
-    up[d].push_back(std::move(e));
-    if (threshold_hit(d)) flush_dest(d);
   };
 
   auto flush_up = [&] {
@@ -137,36 +117,19 @@ SubRepResult run_subrep(runtime::ProcessContext& ctx, const Config& config,
     if (options.rep_dispatch_seconds > 0 && !entries.empty()) {
       ctx.compute(options.rep_dispatch_seconds * static_cast<double>(entries.size()));
     }
-    std::vector<std::vector<FrameEntry>> per_child;
-    if (!node.leaf_level) per_child.resize(child_ids.size());
     for (const FrameEntry& e : entries) {
-      if (e.tag == kTagShutdownProc && e.rank == kFrameBroadcast) {
-        shutdown_shards.insert(pl.shards > 1 ? static_cast<int>(leading_u32(e.payload)) : 0);
-      }
-      if (node.leaf_level) {
-        if (e.rank == kFrameBroadcast) {
-          for (int r : node.children) ctx.send(pl.proc(r), e.tag, e.payload);
-          res.entries_down += node.children.size();
-        } else if (e.rank >= 0 && e.rank < pl.nprocs &&
-                   rank_to_child[static_cast<std::size_t>(e.rank)] >= 0) {
-          ctx.send(pl.proc(e.rank), e.tag, e.payload);
-          ++res.entries_down;
-        }
-        continue;
-      }
       if (e.rank == kFrameBroadcast) {
-        for (auto& dest : per_child) dest.push_back(e);
-      } else if (e.rank >= 0 && e.rank < pl.nprocs &&
-                 rank_to_child[static_cast<std::size_t>(e.rank)] >= 0) {
-        per_child[static_cast<std::size_t>(rank_to_child[static_cast<std::size_t>(e.rank)])]
-            .push_back(e);
+        if (e.tag == kTagShutdownProc) {
+          shutdown_shards.insert(static_cast<int>(leading_u32(e.payload)));
+        }
+        down.bcast(e.tag, e.payload);
+      } else {
+        down.to_rank(e.rank, e.tag, e.payload);
       }
     }
-    for (std::size_t i = 0; i < per_child.size(); ++i) {
-      if (per_child[i].empty()) continue;
-      ctx.send(child_ids[i], kTagTreeDown, encode_frame(per_child[i]));
-      res.entries_down += per_child[i].size();
-    }
+    // Ship what this frame brought before taking the next one: batching
+    // downward happens at the rep, not across a sub-rep's wave.
+    down.flush();
   };
 
   auto process = [&](const Message& m) {
@@ -198,13 +161,11 @@ SubRepResult run_subrep(runtime::ProcessContext& ctx, const Config& config,
         deadline = options.debug_kill_subrep_at;
       }
       m = ctx.recv_until(MatchSpec{kAnyProc, kAnyTag}, deadline);
-      if (!m) {
-        if (kill_me && ctx.now() >= options.debug_kill_subrep_at) return res;  // silent death
-        // Nothing from above for a whole departure window: the rep layer
-        // is gone (or this node was partitioned off). Exit; the children
-        // detect the same silence and re-parent onto the shards.
-        return res;
-      }
+      // No message: either the debug kill time (silent death) or nothing
+      // from above for a whole departure window — the rep layer is gone
+      // (or this node was partitioned off). Exit; the children detect the
+      // same silence and re-parent onto the shards.
+      if (!m) break;
     } else {
       m = ctx.recv(MatchSpec{kAnyProc, kAnyTag});
     }
@@ -214,6 +175,7 @@ SubRepResult run_subrep(runtime::ProcessContext& ctx, const Config& config,
     while (auto more = ctx.try_recv(MatchSpec{kAnyProc, kAnyTag})) process(*more);
     flush_up();
   }
+  res.entries_down = down.counts().plain + down.counts().frame_entries;
   return res;
 }
 

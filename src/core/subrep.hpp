@@ -8,9 +8,10 @@
 // traffic per collective wave is bounded by its fan-in, not the program's
 // rank count. Entries keep their originating worker rank, so the rep's
 // per-rank aggregation state (silent-rank tracking, meta acks, shutdown
-// gating) stays exact. Downward, it splits batched frames along the tree
-// and unwraps them into plain per-proc control messages at the leaf level;
-// workers never see frames.
+// gating) stays exact. Downward, it routes each relayed frame's entries
+// through its DownFanout (core/fanout.hpp): frames for sub-rep children,
+// plain per-proc control messages at the leaf level; workers never see
+// frames.
 #pragma once
 
 #include <cstdint>

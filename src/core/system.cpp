@@ -14,10 +14,9 @@ namespace {
 /// summed and answers re-grouped by connection (each shard already lists
 /// its owned connections' answers in determination order, so a stable sort
 /// by connection reproduces the single-shard ordering).
-RepResult merge_rep_shards(std::vector<RepResult>& shards) {
-  if (shards.size() == 1) return std::move(shards.front());
+RepResult merge_rep_shards(const std::vector<RepResult>& shards) {
   RepResult merged;
-  for (RepResult& s : shards) {
+  for (const RepResult& s : shards) {
     merged.requests_forwarded += s.requests_forwarded;
     merged.answers_sent += s.answers_sent;
     merged.buddy_helps_sent += s.buddy_helps_sent;
@@ -99,12 +98,16 @@ void CoupledSystem::configure_transport() {
       t.node_of.try_emplace(pl.shard_id(s), node);
       t.identity.try_emplace(pl.shard_id(s), prog.name + "/rep" + std::to_string(s));
     }
-    for (std::size_t tn = 0; tn < pl.tree.size(); ++tn) {
-      const ProcId id = pl.subrep(static_cast<int>(tn));
+    for (int k = 0; k < pl.subrep_count(); ++k) {
+      const ProcId id = pl.subrep_first + k;
       t.node_of.try_emplace(id, node);
-      t.identity.try_emplace(id, prog.name + "/sub" + std::to_string(tn));
+      t.identity.try_emplace(id, prog.name + "/sub" + std::to_string(k));
     }
   }
+}
+
+const char* CoupledSystem::clock() const {
+  return cluster_options_.mode == runtime::ExecutionMode::VirtualTime ? "virtual" : "wall";
 }
 
 std::string CoupledSystem::transport_kind(const std::string& program) const {
@@ -183,14 +186,13 @@ void CoupledSystem::run() {
               }});
     }
     auto& node_slots = subrep_node_results_[name];
-    node_slots.resize(pl.tree.size());
-    for (std::size_t node = 0; node < pl.tree.size(); ++node) {
-      SubRepResult* node_slot = &node_slots[node];
+    node_slots.resize(static_cast<std::size_t>(pl.subrep_count()));
+    for (int node = 0; node < pl.subrep_count(); ++node) {
+      SubRepResult* node_slot = &node_slots[static_cast<std::size_t>(node)];
       cluster->add_process(
-          pl.subrep(static_cast<int>(node)),
+          pl.subrep_first + node,
           [this, name, node, node_slot](runtime::ProcessContext& ctx) {
-            *node_slot = run_subrep(ctx, config_, layout_, name, static_cast<int>(node),
-                                    framework_options_);
+            *node_slot = run_subrep(ctx, config_, layout_, name, node, framework_options_);
           },
           runtime::ResultChannel{
               [node_slot] { return encode_subrep_result(*node_slot); },

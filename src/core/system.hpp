@@ -38,8 +38,12 @@ class CoupledSystem {
   const DeploymentLayout& layout() const { return layout_; }
   const FrameworkOptions& framework_options() const { return framework_options_; }
 
-  /// End-of-run virtual (or wall) time.
+  /// End-of-run time, in seconds on clock().
   double end_time() const { return end_time_; }
+
+  /// The clock the run keeps, for the mode it runs in once CCF_MODE is
+  /// applied: "virtual" in virtual time, "wall" on threads and processes.
+  const char* clock() const;
 
   /// Statistics of one worker process (valid after run()).
   const ProcStats& proc_stats(const std::string& program, int rank) const;

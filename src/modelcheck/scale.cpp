@@ -23,6 +23,7 @@ using core::RequestMsg;
 using core::ResponseMsg;
 
 constexpr runtime::ProcId kRep = 999;
+const core::ControlRoute kRepRoute{kRep, 1, 0, false};  ///< straight to the rep, one shard
 constexpr runtime::ProcId kImporter = 42;
 
 struct RegionStreams {
@@ -102,7 +103,7 @@ ScaleReport run_scale(const ScaleConfig& config) {
                                      dist::RedistSchedule(one, one, one.domain()),
                                      {kImporter}});
     ExportRegionState state("scale" + std::to_string(r), one.domain(), 0, std::move(conns),
-                            options, kRep);
+                            options, kRepRoute);
 
     // Merge the two streams: request i fires once the export stream has
     // reached x_i - lead_i, so requests outrun the exports and pile up

@@ -124,10 +124,17 @@ void Fiber::map_stack() {
   void* base = ::mmap(nullptr, page + stack_bytes, PROT_READ | PROT_WRITE,
                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
   CCF_CHECK(base != MAP_FAILED, "fiber stack mmap failed: " << std::strerror(errno));
+  // Splitting off the guard page costs a second map entry, which fails at
+  // vm.max_map_count; the fiber then stays without a stack (not started).
+  const bool guarded = ::mprotect(base, page, PROT_NONE) == 0;
+  if (!guarded) {
+    const int error = errno;
+    ::munmap(base, page + stack_bytes);
+    errno = error;
+  }
+  CCF_CHECK(guarded, "fiber guard page mprotect failed: " << std::strerror(errno));
   mapping_ = base;
   mapping_bytes_ = page + stack_bytes;
-  CCF_CHECK(::mprotect(base, page, PROT_NONE) == 0,
-            "fiber guard page mprotect failed: " << std::strerror(errno));
   char* bottom = static_cast<char*>(base) + page;
   char* top = bottom + stack_bytes;
 #ifdef CCF_FIBER_X86_64

@@ -43,6 +43,11 @@ class Fiber {
   /// only on the fiber itself.
   void suspend();
 
+  /// True while the fiber has a stack: from the first resume() that mapped
+  /// one until its function returns. A resume() that could not map the
+  /// stack throws and leaves the fiber unstarted.
+  bool started() const { return mapping_ != nullptr; }
+
  private:
   /// Mirrors the Itanium C++ ABI's per-thread __cxa_eh_globals: the stack
   /// of exceptions being handled and the count of those in flight.

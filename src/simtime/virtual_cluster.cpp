@@ -180,12 +180,12 @@ void VirtualCluster::resume(Proc& proc, SimTime at_time) {
 
 void VirtualCluster::unwind_started_procs() {
   // Each suspended process resumes once, throws ClusterAborted from its
-  // yield point and runs its destructors; a body that never started stays
-  // unrun.
+  // yield point and runs its destructors; a body that never started — or
+  // whose first resume failed to map its stack — stays unrun.
   aborting_ = true;
   for (ProcId id : proc_order_) {
     Proc& p = *procs_.at(id);
-    if (p.state != ProcState::NotStarted && p.state != ProcState::Finished) p.fiber.resume();
+    if (p.fiber.started()) p.fiber.resume();
   }
 }
 

@@ -115,17 +115,6 @@ TEST(Layout, AssignsContiguousIdsWithReps) {
   EXPECT_THROW(layout.program("C"), util::InvalidArgument);
 }
 
-TEST(Layout, OwnerOf) {
-  const Config config = Config::parse_string("A h /a 2\nB h /b 1\n");
-  const DeploymentLayout layout(config);
-  EXPECT_EQ(layout.owner_of(0).program, "A");
-  EXPECT_EQ(layout.owner_of(1).rank, 1);
-  EXPECT_EQ(layout.owner_of(2).rank, -1);  // A's rep
-  EXPECT_EQ(layout.owner_of(4).program, "B");
-  EXPECT_EQ(layout.owner_of(4).rank, -1);
-  EXPECT_THROW(layout.owner_of(5), util::InvalidArgument);
-}
-
 TEST(Protocol, MessageRoundTrips) {
   const RequestMsg req{3, 17, 42.5};
   const RequestMsg req2 = RequestMsg::decode(req.encode());

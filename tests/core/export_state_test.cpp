@@ -13,6 +13,7 @@ namespace {
 using testing::FakeContext;
 
 constexpr ProcId kRep = 99;
+const ControlRoute kRepRoute{kRep, 1, 0, false};  ///< straight to the rep, one shard
 constexpr ProcId kImporterProc = 42;
 
 class ExportStateTest : public ::testing::Test {
@@ -27,7 +28,7 @@ class ExportStateTest : public ::testing::Test {
     conns.push_back(std::move(cfg));
     FrameworkOptions options;
     options.trace = trace;
-    return ExportRegionState("r1", one.domain(), 0, std::move(conns), options, kRep);
+    return ExportRegionState("r1", one.domain(), 0, std::move(conns), options, kRepRoute);
   }
 
   /// Exports a block whose every element equals the timestamp.
@@ -318,7 +319,7 @@ TEST_F(ExportStateTest, TwoConnectionsShareSnapshots) {
                                    dist::RedistSchedule(one, one, one.domain()),
                                    {kImporterProc + 1}});
   FrameworkOptions options;
-  ExportRegionState state("r1", one.domain(), 0, std::move(conns), options, kRep);
+  ExportRegionState state("r1", one.domain(), 0, std::move(conns), options, kRepRoute);
 
   std::vector<double> block(16, 0.0);
   for (int k = 1; k <= 10; ++k) {

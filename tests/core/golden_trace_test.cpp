@@ -10,6 +10,8 @@
 namespace ccf::core {
 namespace {
 
+const ControlRoute kRepRoute{99, 1, 0, false};  ///< straight to the rep, one shard
+
 std::string run_figure_scenario(bool buddy_help) {
   runtime::ScriptedContext ctx(0);
   dist::BlockDecomposition one(4, 4, 1, 1);
@@ -19,7 +21,7 @@ std::string run_figure_scenario(bool buddy_help) {
                                    {42}});
   FrameworkOptions options;
   options.trace = true;
-  ExportRegionState state("r1", one.domain(), 0, std::move(conns), options, 99);
+  ExportRegionState state("r1", one.domain(), 0, std::move(conns), options, kRepRoute);
 
   std::vector<double> block(16, 0.0);
   auto do_export = [&](double t) {

@@ -98,6 +98,37 @@ TEST(RepLoop, FullExporterLifecycle) {
   EXPECT_EQ(ctx.sent_with_tag(kTagShutdownProc).size(), 2u);
 }
 
+TEST(RepLoop, FlatSingleShardPayloadsLeadWithShardZero) {
+  // The shard id is on the wire in every topology, the depth-0 single
+  // shard included.
+  const Config config = exporter_config();
+  const DeploymentLayout layout(config);
+  const ProgramLayout& e = layout.program("E");
+  const ProgramLayout& i = layout.program("I");
+  ASSERT_EQ(e.depth(), 0);
+  ASSERT_EQ(e.shards, 1);
+
+  ScriptedContext ctx(e.rep);
+  ctx.push_inbox(msg(e.proc(0), e.rep, kTagRegionDefs, region_defs_payload()));
+  ctx.push_inbox(msg(i.rep, e.rep, kTagPeerRegionMeta, peer_meta_payload(0)));
+  ctx.push_inbox(msg(i.rep, e.rep, kTagConnFinished, ConnMsg{0}.encode()));
+  (void)run_rep(ctx, config, layout, "E");
+
+  auto leading_u32 = [](const Message& m) {
+    transport::Reader r(m.payload);
+    return r.get<std::uint32_t>();
+  };
+  const auto metas = ctx.sent_with_tag(kTagRegionMetaBcast);
+  ASSERT_EQ(metas.size(), 2u);
+  for (const Message& m : metas) EXPECT_EQ(leading_u32(m), 0u);
+  const auto shutdowns = ctx.sent_with_tag(kTagShutdownProc);
+  ASSERT_EQ(shutdowns.size(), 2u);
+  for (const Message& m : shutdowns) {
+    EXPECT_EQ(m.payload.size(), sizeof(std::uint32_t));
+    EXPECT_EQ(leading_u32(m), 0u);
+  }
+}
+
 TEST(RepLoop, ImporterSideRelaysRequestsAndAnswers) {
   const Config config = exporter_config();
   const DeploymentLayout layout(config);

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <string>
 
 #include "core/system.hpp"
 
@@ -105,6 +107,33 @@ INSTANTIATE_TEST_SUITE_P(
              "_E" + std::to_string(info.param.exp_procs) + "_I" +
              std::to_string(info.param.imp_procs);
     });
+
+TEST(CoupledSystemTest, ReportsTheClockOfTheModeItRuns) {
+  // CCF_MODE overrides the options' mode, and the label must follow what
+  // actually runs: a virtual-time system redirected to threads keeps wall
+  // time.
+  const char* outer = std::getenv("CCF_MODE");
+  const std::string saved = outer != nullptr ? outer : "";
+  auto clock_of = [](ExecutionMode mode) {
+    ClusterOptions options;
+    options.mode = mode;
+    return std::string(
+        CoupledSystem(two_program_config(1, 1, MatchPolicy::REGL, 0), options, {}).clock());
+  };
+  ::unsetenv("CCF_MODE");
+  const std::string virtual_time = clock_of(ExecutionMode::VirtualTime);
+  const std::string threads = clock_of(ExecutionMode::RealThreads);
+  ::setenv("CCF_MODE", "threads", 1);
+  const std::string redirected = clock_of(ExecutionMode::VirtualTime);
+  if (outer != nullptr) {
+    ::setenv("CCF_MODE", saved.c_str(), 1);
+  } else {
+    ::unsetenv("CCF_MODE");
+  }
+  EXPECT_EQ(virtual_time, "virtual");
+  EXPECT_EQ(threads, "wall");
+  EXPECT_EQ(redirected, "wall");
+}
 
 TEST(CoupledSystemTest, NoMatchFlowsReturnCleanly) {
   Config config = two_program_config(2, 2, MatchPolicy::REGL, 0.1);
