@@ -32,12 +32,12 @@ std::string run_arm(bool buddy_help) {
   dist::BlockDecomposition one(16, 16, 1, 1);
   std::vector<ExportConnConfig> conns;
   conns.push_back(ExportConnConfig{0, core::MatchPolicy::REGL, 5.0,
-                                   dist::RedistSchedule(one, one, one.domain()),
+                                   dist::RedistSchedule::for_exporter(0, one, one, one.domain()),
                                    {/*importer proc*/ 42}});
   core::FrameworkOptions options;
   options.trace = true;
   const core::ControlRoute to_rep{/*rep=*/99, 1, 0, false};
-  ExportRegionState state("r1", one.domain(), 0, std::move(conns), options, to_rep);
+  ExportRegionState state("r1", one.domain(), std::move(conns), options, to_rep);
 
   std::vector<double> block(16 * 16, 0.0);
   auto do_export = [&](double t) {

@@ -18,14 +18,20 @@ using ccf::dist::Box;
 using ccf::dist::DistArray2D;
 using ccf::dist::RedistSchedule;
 
+/// One exporter rank's send schedule plus one importer rank's receive
+/// schedule (the middle rank of each side), as each rank builds them at
+/// commit.
 void BM_ScheduleBuild(benchmark::State& state) {
   const int src_p = static_cast<int>(state.range(0));
   const int dst_p = static_cast<int>(state.range(1));
   const auto src = BlockDecomposition::make_grid(1024, 1024, src_p);
   const auto dst = BlockDecomposition::make_grid(1024, 1024, dst_p);
+  const Box region{0, 1024, 0, 1024};
   for (auto _ : state) {
-    RedistSchedule sched(src, dst, Box{0, 1024, 0, 1024});
-    benchmark::DoNotOptimize(sched.pieces().size());
+    const auto sends = RedistSchedule::for_exporter(src_p / 2, src, dst, region);
+    const auto recvs = RedistSchedule::for_importer(dst_p / 2, src, dst, region);
+    benchmark::DoNotOptimize(sends.pieces().data());
+    benchmark::DoNotOptimize(recvs.pieces().data());
   }
 }
 BENCHMARK(BM_ScheduleBuild)
@@ -121,7 +127,7 @@ BENCHMARK(BM_SendPayloadWire);
 /// exported as a counter so run_benches can assert the steady-state value.
 void BM_ExportTransferFullBoxAliased(benchmark::State& state) {
   const auto decomp = BlockDecomposition::make_grid(512, 512, 1);
-  const RedistSchedule sched(decomp, decomp, Box{0, 512, 0, 512});
+  const auto sched = RedistSchedule::for_exporter(0, decomp, decomp, Box{0, 512, 0, 512});
   const std::vector<double> block(512 * 512, 1.0);
   ccf::runtime::ScriptedContext ctx(0);
   ccf::core::BufferPool pool;
@@ -129,7 +135,7 @@ void BM_ExportTransferFullBoxAliased(benchmark::State& state) {
   double t = 0;
   for (auto _ : state) {
     pool.store(++t, block.data(), block.size(), 0b1, ctx);
-    ccf::dist::execute_sends_packed(ctx, sched, 0, {100}, 77, Box{0, 512, 0, 512},
+    ccf::dist::execute_sends_packed(ctx, sched, {100}, 77, Box{0, 512, 0, 512},
                                     pool.snapshot(t).data(), &stats, pool.wire_payload(t));
     ctx.sent().clear();  // release the in-flight alias so the frame recycles
     pool.drop(t, 0);
@@ -146,7 +152,7 @@ BENCHMARK(BM_ExportTransferFullBoxAliased);
 void BM_ExportTransferPartialPieces(benchmark::State& state) {
   const auto src = BlockDecomposition::make_grid(512, 512, 1);
   const auto dst = BlockDecomposition::make_grid(512, 512, 4);
-  const RedistSchedule sched(src, dst, Box{0, 512, 0, 512});
+  const auto sched = RedistSchedule::for_exporter(0, src, dst, Box{0, 512, 0, 512});
   const std::vector<double> block(512 * 512, 1.0);
   ccf::runtime::ScriptedContext ctx(0);
   ccf::core::BufferPool pool;
@@ -154,7 +160,7 @@ void BM_ExportTransferPartialPieces(benchmark::State& state) {
   double t = 0;
   for (auto _ : state) {
     pool.store(++t, block.data(), block.size(), 0b1, ctx);
-    ccf::dist::execute_sends_packed(ctx, sched, 0, {100, 101, 102, 103}, 77,
+    ccf::dist::execute_sends_packed(ctx, sched, {100, 101, 102, 103}, 77,
                                     Box{0, 512, 0, 512}, pool.snapshot(t).data(), &stats,
                                     pool.wire_payload(t));
     ctx.sent().clear();

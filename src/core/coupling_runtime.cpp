@@ -189,14 +189,16 @@ void CouplingRuntime::commit() {
       dist::BlockDecomposition importer_decomp(peer.rows, peer.cols, peer.proc_rows,
                                                peer.proc_cols);
       ExportConnConfig cfg{conn_id, spec.policy, spec.tolerance,
-                           dist::RedistSchedule(region.decomp, importer_decomp, window,
-                                                window.row_begin, window.col_begin),
+                           dist::RedistSchedule::for_exporter(rank_, region.decomp,
+                                                              importer_decomp, window,
+                                                              window.row_begin,
+                                                              window.col_begin),
                            layout_.program(spec.importer_program).proc_ids()};
-      cfg.contributes = !cfg.schedule.sends_of(rank_).empty();
+      cfg.contributes = !cfg.schedule.pieces().empty();
       conn_configs.push_back(std::move(cfg));
     }
     region.state = std::make_unique<ExportRegionState>(
-        name, region.decomp.box_of(rank_), rank_, std::move(conn_configs), options_, route_);
+        name, region.decomp.box_of(rank_), std::move(conn_configs), options_, route_);
     region.state->attach_memory(governor_.get(), spill_.get());
   }
 
@@ -221,8 +223,8 @@ void CouplingRuntime::commit() {
                 "region dimension mismatch on connection " << *conn << ": window "
                     << window.rows() << "x" << window.cols() << ", imported region "
                     << region.decomp.rows() << "x" << region.decomp.cols());
-    region.schedule = std::make_unique<dist::RedistSchedule>(
-        exporter_decomp, region.decomp, window, window.row_begin, window.col_begin);
+    region.schedule = std::make_unique<dist::RedistSchedule>(dist::RedistSchedule::for_importer(
+        rank_, exporter_decomp, region.decomp, window, window.row_begin, window.col_begin));
     region.exporter_procs = layout_.program(spec.exporter_program).proc_ids();
   }
 }
@@ -578,7 +580,7 @@ CouplingRuntime::ImportStatus CouplingRuntime::import_wait(const ImportTicket& t
   status.matched = answer.matched;
   ++region.stats.imports;
   if (answer.result == MatchResult::Match) {
-    dist::execute_recvs(ctx_, *region.schedule, rank_, region.exporter_procs,
+    dist::execute_recvs(ctx_, *region.schedule, region.exporter_procs,
                         data_tag(region.conn_id, ticket.seq), out);
     ++region.stats.matches;
     region.stats.matched_timestamps.push_back(answer.matched);

@@ -116,7 +116,7 @@ class CouplingRuntime {
     explicit ImportRegion(dist::BlockDecomposition d) : decomp(std::move(d)) {}
     dist::BlockDecomposition decomp;
     int conn_id = -1;
-    std::unique_ptr<dist::RedistSchedule> schedule;  ///< exporter -> importer
+    std::unique_ptr<dist::RedistSchedule> schedule;  ///< this rank's receive pieces
     std::vector<ProcId> exporter_procs;
     std::uint32_t next_seq = 0;
     Timestamp last_request = kNeverExported;

@@ -9,13 +9,12 @@
 
 namespace ccf::core {
 
-ExportRegionState::ExportRegionState(std::string region_name, dist::Box local_box, int my_rank,
+ExportRegionState::ExportRegionState(std::string region_name, dist::Box local_box,
                                      std::vector<ExportConnConfig> conns,
                                      const FrameworkOptions& options,
                                      const ControlRoute& route)
     : name_(std::move(region_name)),
       local_box_(local_box),
-      my_rank_(my_rank),
       options_(options),
       route_(route),
       trace_("D", options.trace, options.trace_max_events) {
@@ -197,7 +196,7 @@ void ExportRegionState::send_data(Conn& conn, std::uint32_t seq, Timestamp match
   // Sends source the pooled snapshot directly; a piece covering the whole
   // local box aliases the pooled wire frame (zero-copy fan-out).
   const BufferPool::SnapshotView snapshot = pool_.snapshot(match);
-  dist::execute_sends_packed(ctx, conn.cfg.schedule, my_rank_, conn.cfg.importer_procs,
+  dist::execute_sends_packed(ctx, conn.cfg.schedule, conn.cfg.importer_procs,
                              data_tag(conn.cfg.conn_id, seq), local_box_, snapshot.data(),
                              &xfer_, pool_.wire_payload(match));
   ++stats_.transfers;

@@ -47,7 +47,7 @@ struct ExportConnConfig {
   int conn_id = 0;  ///< global connection index (also the buffer-pool bit)
   MatchPolicy policy = MatchPolicy::REGL;
   double tolerance = 0;
-  dist::RedistSchedule schedule;       ///< exporter layout -> importer layout
+  dist::RedistSchedule schedule;       ///< this rank's send pieces
   std::vector<ProcId> importer_procs;  ///< importer ranks' global ids
   /// False when this process's block lies outside the connection's
   /// transfer window: it still participates in the collective matching
@@ -60,7 +60,7 @@ class ExportRegionState {
  public:
   /// Rep-bound control messages (ProcResponse) go up `route`, which the
   /// owning runtime shares and may re-parent; it must outlive this object.
-  ExportRegionState(std::string region_name, dist::Box local_box, int my_rank,
+  ExportRegionState(std::string region_name, dist::Box local_box,
                     std::vector<ExportConnConfig> conns, const FrameworkOptions& options,
                     const ControlRoute& route);
 
@@ -213,7 +213,6 @@ class ExportRegionState {
 
   std::string name_;
   dist::Box local_box_;
-  int my_rank_;
   std::vector<Conn> conns_;
   FrameworkOptions options_;
   const ControlRoute& route_;

@@ -57,4 +57,9 @@ inline Box intersect(const Box& a, const Box& b) {
 
 inline bool overlaps(const Box& a, const Box& b) { return !intersect(a, b).empty(); }
 
+/// `b` moved by `rows` rows and `cols` columns.
+inline Box translate(const Box& b, Index rows, Index cols) {
+  return Box{b.row_begin + rows, b.row_end + rows, b.col_begin + cols, b.col_end + cols};
+}
+
 }  // namespace ccf::dist

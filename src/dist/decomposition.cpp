@@ -16,10 +16,10 @@ BlockDecomposition::BlockDecomposition(Index rows, Index cols, int pr, int pc)
 
 BlockDecomposition BlockDecomposition::make_grid(Index rows, Index cols, int nprocs) {
   CCF_REQUIRE(nprocs > 0, "need at least one process");
-  // Choose the factorization pr*pc == nprocs with pr closest to sqrt and
-  // blocks as square as the domain aspect allows.
-  int best_pr = 1;
-  double best_score = -1.0;
+  // Choose the factorization pr*pc == nprocs that fits the domain with
+  // blocks as square as the domain aspect allows (0: none fits yet).
+  int best_pr = 0;
+  double best_score = 0;
   for (int pr = 1; pr <= nprocs; ++pr) {
     if (nprocs % pr != 0) continue;
     const int pc = nprocs / pr;
@@ -28,12 +28,12 @@ BlockDecomposition BlockDecomposition::make_grid(Index rows, Index cols, int npr
     const double block_c = static_cast<double>(cols) / pc;
     // Score favors square-ish blocks (minimizes redistribution perimeter).
     const double score = -std::abs(std::log(block_r / block_c));
-    if (score > best_score) {
+    if (best_pr == 0 || score > best_score) {
       best_score = score;
       best_pr = pr;
     }
   }
-  CCF_REQUIRE(best_score > -1e300, "cannot fit " << nprocs << " processes on " << rows << "x" << cols);
+  CCF_REQUIRE(best_pr > 0, "cannot fit " << nprocs << " processes on " << rows << "x" << cols);
   return BlockDecomposition(rows, cols, best_pr, nprocs / best_pr);
 }
 
@@ -76,9 +76,19 @@ int BlockDecomposition::owner_of(Index r, Index c) const {
 }
 
 std::vector<int> BlockDecomposition::ranks_overlapping(const Box& region) const {
+  // The blocks meeting a box form one row range x one column range of the
+  // grid, found from the box's first and last rows and columns.
+  const Box clipped = intersect(region, domain());
+  if (clipped.empty()) return {};
+  const int gr_first = block_index(rows_, pr_, clipped.row_begin);
+  const int gr_last = block_index(rows_, pr_, clipped.row_end - 1);
+  const int gc_first = block_index(cols_, pc_, clipped.col_begin);
+  const int gc_last = block_index(cols_, pc_, clipped.col_end - 1);
   std::vector<int> out;
-  for (int rank = 0; rank < nprocs(); ++rank) {
-    if (overlaps(box_of(rank), region)) out.push_back(rank);
+  out.reserve(static_cast<std::size_t>(gr_last - gr_first + 1) *
+              static_cast<std::size_t>(gc_last - gc_first + 1));
+  for (int gr = gr_first; gr <= gr_last; ++gr) {
+    for (int gc = gc_first; gc <= gc_last; ++gc) out.push_back(gr * pc_ + gc);
   }
   return out;
 }

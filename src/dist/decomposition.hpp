@@ -19,7 +19,8 @@ class BlockDecomposition {
   /// Remainder rows/cols go to the leading blocks (MPI_Dims-style).
   BlockDecomposition(Index rows, Index cols, int pr, int pc);
 
-  /// Convenience: chooses a near-square pr x pc grid for nprocs.
+  /// Convenience: chooses the pr x pc grid for nprocs whose blocks are
+  /// closest to square among those that fit the domain.
   static BlockDecomposition make_grid(Index rows, Index cols, int nprocs);
 
   /// 1-D row-block decomposition (pc == 1).
@@ -38,7 +39,7 @@ class BlockDecomposition {
   /// Rank owning global element (r, c).
   int owner_of(Index r, Index c) const;
 
-  /// All ranks whose boxes overlap `region`.
+  /// All ranks whose boxes overlap `region`, ascending; O(result size).
   std::vector<int> ranks_overlapping(const Box& region) const;
 
   friend bool operator==(const BlockDecomposition& a, const BlockDecomposition& b) {

@@ -79,7 +79,8 @@ Payload pack_wire_payload(const Box& buf_box, const T* buf, const Box& piece) {
   return w.take();
 }
 
-/// Sends this exporter rank's pieces from a packed snapshot.
+/// Sends the pieces of an exporter-side schedule
+/// (RedistSchedule::for_exporter) from a packed snapshot.
 /// `dst_procs[r]` is the global ProcId of importer rank r.
 ///
 /// When `snapshot_frame` is a valid payload holding the snapshot's wire
@@ -88,7 +89,7 @@ Payload pack_wire_payload(const Box& buf_box, const T* buf, const Box& piece) {
 /// zero copies, one refcounted buffer shared across all destinations.
 /// `stats`, if non-null, accrues the copy accounting.
 template <typename T>
-void execute_sends_packed(ProcessContext& ctx, const RedistSchedule& sched, int my_src_rank,
+void execute_sends_packed(ProcessContext& ctx, const RedistSchedule& sched,
                           const std::vector<ProcId>& dst_procs, Tag tag, const Box& snapshot_box,
                           const T* snapshot, TransferStats* stats = nullptr,
                           Payload snapshot_frame = {}) {
@@ -101,7 +102,7 @@ void execute_sends_packed(ProcessContext& ctx, const RedistSchedule& sched, int 
                                       << snapshot_box << " needs "
                                       << snapshot_box.count() * sizeof(T) << " + prefix");
   }
-  for (const auto& piece : sched.sends_of(my_src_rank)) {
+  for (const auto& piece : sched.pieces()) {
     const auto piece_bytes = static_cast<std::uint64_t>(piece.box.count()) * sizeof(T);
     Payload payload;
     if (snapshot_frame && piece.box == snapshot_box) {
@@ -121,34 +122,34 @@ void execute_sends_packed(ProcessContext& ctx, const RedistSchedule& sched, int 
 
 /// Vector-snapshot convenience overload (no aliasable frame).
 template <typename T>
-void execute_sends_packed(ProcessContext& ctx, const RedistSchedule& sched, int my_src_rank,
+void execute_sends_packed(ProcessContext& ctx, const RedistSchedule& sched,
                           const std::vector<ProcId>& dst_procs, Tag tag, const Box& snapshot_box,
                           const std::vector<T>& snapshot, TransferStats* stats = nullptr) {
   CCF_REQUIRE(snapshot.size() == static_cast<std::size_t>(snapshot_box.count()),
               "snapshot has " << snapshot.size() << " elements, box needs "
                               << snapshot_box.count());
-  execute_sends_packed(ctx, sched, my_src_rank, dst_procs, tag, snapshot_box, snapshot.data(),
-                       stats);
+  execute_sends_packed(ctx, sched, dst_procs, tag, snapshot_box, snapshot.data(), stats);
 }
 
-/// Sends this exporter rank's pieces directly from a live array.
+/// Sends an exporter-side schedule's pieces directly from a live array.
 template <typename T>
-void execute_sends(ProcessContext& ctx, const RedistSchedule& sched, int my_src_rank,
+void execute_sends(ProcessContext& ctx, const RedistSchedule& sched,
                    const std::vector<ProcId>& dst_procs, Tag tag, const DistArray2D<T>& array) {
-  execute_sends_packed(ctx, sched, my_src_rank, dst_procs, tag, array.local_box(), array.data());
+  execute_sends_packed(ctx, sched, dst_procs, tag, array.local_box(), array.data());
 }
 
-/// Receives this importer rank's pieces and unpacks them into `array`.
+/// Receives the pieces of an importer-side schedule
+/// (RedistSchedule::for_importer) and unpacks them into `array`.
 /// `src_procs[r]` is the global ProcId of exporter rank r. Piece boxes are
 /// in source coordinates; the schedule's destination offset translates
 /// them into the destination's index space (0 for same-domain transfers).
 /// Elements are copied straight from payload bytes into the local block —
 /// one strided memcpy per row, no intermediate vector.
 template <typename T>
-void execute_recvs(ProcessContext& ctx, const RedistSchedule& sched, int my_dst_rank,
+void execute_recvs(ProcessContext& ctx, const RedistSchedule& sched,
                    const std::vector<ProcId>& src_procs, Tag tag, DistArray2D<T>& array) {
   static_assert(std::is_trivially_copyable_v<T>);
-  for (const auto& piece : sched.recvs_of(my_dst_rank)) {
+  for (const auto& piece : sched.pieces()) {
     runtime::Message m = ctx.recv(runtime::MatchSpec{
         src_procs.at(static_cast<std::size_t>(piece.src_rank)), tag});
     transport::Reader r(m.payload);
@@ -157,12 +158,8 @@ void execute_recvs(ProcessContext& ctx, const RedistSchedule& sched, int my_dst_
               "piece payload has " << n << " elements, box " << piece.box << " needs "
                                    << piece.box.count());
     const Payload body = r.view(static_cast<std::size_t>(n) * sizeof(T));
-    Box local = piece.box;
-    local.row_begin -= sched.dst_row_offset();
-    local.row_end -= sched.dst_row_offset();
-    local.col_begin -= sched.dst_col_offset();
-    local.col_end -= sched.dst_col_offset();
-    array.unpack_bytes(local, body.data());
+    array.unpack_bytes(translate(piece.box, -sched.dst_row_offset(), -sched.dst_col_offset()),
+                       body.data());
   }
 }
 

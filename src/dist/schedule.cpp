@@ -5,55 +5,51 @@
 namespace ccf::dist {
 
 RedistSchedule::RedistSchedule(const BlockDecomposition& src, const BlockDecomposition& dst,
-                               const Box& region)
-    : RedistSchedule(src, dst, region, 0, 0) {}
-
-RedistSchedule::RedistSchedule(const BlockDecomposition& src, const BlockDecomposition& dst,
                                const Box& region, Index dst_row_offset, Index dst_col_offset)
-    : region_(region), dst_row_offset_(dst_row_offset), dst_col_offset_(dst_col_offset) {
+    : dst_row_offset_(dst_row_offset), dst_col_offset_(dst_col_offset) {
   CCF_REQUIRE(!region.empty(), "redistribution region is empty");
-  CCF_REQUIRE((Box{0, src.rows(), 0, src.cols()}.contains(region)),
-              "region " << region << " escapes exporter domain");
-  const Box dst_domain_in_src{dst_row_offset, dst_row_offset + dst.rows(), dst_col_offset,
-                              dst_col_offset + dst.cols()};
+  CCF_REQUIRE(src.domain().contains(region), "region " << region << " escapes exporter domain");
+  const Box dst_domain_in_src = translate(dst.domain(), dst_row_offset, dst_col_offset);
   CCF_REQUIRE(dst_domain_in_src.contains(region),
               "region " << region << " escapes importer domain " << dst_domain_in_src);
-
-  // Pairwise intersection of source blocks and (translated) destination
-  // blocks, clipped to the transfer region. Iteration order (src-major,
-  // then dst) fixes the deterministic send/recv orders both sides rely on.
-  for (int s = 0; s < src.nprocs(); ++s) {
-    const Box src_part = intersect(src.box_of(s), region);
-    if (src_part.empty()) continue;
-    for (int d = 0; d < dst.nprocs(); ++d) {
-      Box dst_box = dst.box_of(d);
-      dst_box.row_begin += dst_row_offset;
-      dst_box.row_end += dst_row_offset;
-      dst_box.col_begin += dst_col_offset;
-      dst_box.col_end += dst_col_offset;
-      const Box piece = intersect(src_part, dst_box);
-      if (piece.empty()) continue;
-      pieces_.push_back(TransferPiece{s, d, piece});
-    }
-  }
-  CCF_CHECK(total_elements() == region.count(),
-            "schedule covers " << total_elements() << " elements, region has " << region.count());
 }
 
-std::vector<TransferPiece> RedistSchedule::sends_of(int src_rank) const {
-  std::vector<TransferPiece> out;
-  for (const auto& p : pieces_) {
-    if (p.src_rank == src_rank) out.push_back(p);
+RedistSchedule RedistSchedule::for_exporter(int src_rank, const BlockDecomposition& src,
+                                            const BlockDecomposition& dst, const Box& region,
+                                            Index dst_row_offset, Index dst_col_offset) {
+  RedistSchedule sched(src, dst, region, dst_row_offset, dst_col_offset);
+  // The importer blocks this rank's part meets, looked up in importer
+  // coordinates; the pieces stay in source coordinates.
+  const Box own = intersect(src.box_of(src_rank), region);
+  const auto peers = dst.ranks_overlapping(translate(own, -dst_row_offset, -dst_col_offset));
+  sched.pieces_.reserve(peers.size());
+  for (int d : peers) {
+    const Box dst_box = translate(dst.box_of(d), dst_row_offset, dst_col_offset);
+    sched.pieces_.push_back(TransferPiece{src_rank, d, intersect(own, dst_box)});
   }
-  return out;
+  CCF_CHECK(sched.total_elements() == own.count(),
+            "exporter rank " << src_rank << " schedule covers " << sched.total_elements()
+                             << " elements, its part " << own << " has " << own.count());
+  return sched;
 }
 
-std::vector<TransferPiece> RedistSchedule::recvs_of(int dst_rank) const {
-  std::vector<TransferPiece> out;
-  for (const auto& p : pieces_) {
-    if (p.dst_rank == dst_rank) out.push_back(p);
+RedistSchedule RedistSchedule::for_importer(int dst_rank, const BlockDecomposition& src,
+                                            const BlockDecomposition& dst, const Box& region,
+                                            Index dst_row_offset, Index dst_col_offset) {
+  RedistSchedule sched(src, dst, region, dst_row_offset, dst_col_offset);
+  // This rank's block, moved into source coordinates, meets one range of
+  // exporter blocks.
+  const Box own =
+      intersect(translate(dst.box_of(dst_rank), dst_row_offset, dst_col_offset), region);
+  const auto peers = src.ranks_overlapping(own);
+  sched.pieces_.reserve(peers.size());
+  for (int s : peers) {
+    sched.pieces_.push_back(TransferPiece{s, dst_rank, intersect(src.box_of(s), own)});
   }
-  return out;
+  CCF_CHECK(sched.total_elements() == own.count(),
+            "importer rank " << dst_rank << " schedule covers " << sched.total_elements()
+                             << " elements, its part " << own << " has " << own.count());
+  return sched;
 }
 
 Index RedistSchedule::total_elements() const {

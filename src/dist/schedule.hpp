@@ -1,11 +1,17 @@
-// MxN redistribution schedules.
+// Rank-local MxN redistribution schedules.
 //
 // Given the exporter's decomposition, the importer's decomposition, and a
-// transfer region, the schedule lists — per exporter rank — which sub-box
-// goes to which importer rank, and symmetrically per importer rank. Both
-// sides compute the schedule independently from metadata (deterministic,
-// no negotiation traffic), the approach used by Meta-Chaos / InterComm /
-// the CCA MxN working group the paper builds on.
+// transfer region, a schedule lists the pieces ONE rank moves: the
+// sub-boxes an exporter rank sends, or the sub-boxes an importer rank
+// receives. Each side derives its own pieces independently from the same
+// metadata (deterministic, no negotiation traffic), the approach used by
+// Meta-Chaos / InterComm / the CCA MxN working group the paper builds on.
+//
+// Block decompositions make a rank's peers one row range x one column
+// range of the peer grid, so a schedule costs O(own pieces) to build and
+// to hold, independent of the other side's width. Pieces are ordered by
+// ascending peer rank; the sender's and the receiver's views of a piece
+// are identical, which fixes the importer's receive order.
 #pragma once
 
 #include <vector>
@@ -28,41 +34,39 @@ struct TransferPiece {
 
 class RedistSchedule {
  public:
-  /// Builds the full piece list for moving `region` from `src` to `dst`
-  /// layouts. Both decompositions must cover `region`.
-  RedistSchedule(const BlockDecomposition& src, const BlockDecomposition& dst, const Box& region);
-
-  /// Windowed variant: the destination's domain maps onto the sub-box of
+  /// The pieces exporter rank `src_rank` sends when `region` moves from
+  /// the `src` layout to the `dst` layout.
+  ///
+  /// Windowed transfers: the destination's domain maps onto the sub-box of
   /// the source domain whose origin is (dst_row_offset, dst_col_offset) —
   /// i.e., dst global index (r, c) corresponds to source index
   /// (r + dst_row_offset, c + dst_col_offset). `region` is given in
   /// SOURCE coordinates and must lie inside both the source domain and
   /// the translated destination domain. Piece boxes are recorded in
-  /// source coordinates; receivers translate back when unpacking (see
-  /// execute_recvs' offset parameters).
-  RedistSchedule(const BlockDecomposition& src, const BlockDecomposition& dst, const Box& region,
-                 Index dst_row_offset, Index dst_col_offset);
+  /// source coordinates; receivers translate back when unpacking.
+  static RedistSchedule for_exporter(int src_rank, const BlockDecomposition& src,
+                                     const BlockDecomposition& dst, const Box& region,
+                                     Index dst_row_offset = 0, Index dst_col_offset = 0);
+
+  /// The pieces importer rank `dst_rank` receives; same arguments and
+  /// coordinates as for_exporter.
+  static RedistSchedule for_importer(int dst_rank, const BlockDecomposition& src,
+                                     const BlockDecomposition& dst, const Box& region,
+                                     Index dst_row_offset = 0, Index dst_col_offset = 0);
 
   Index dst_row_offset() const { return dst_row_offset_; }
   Index dst_col_offset() const { return dst_col_offset_; }
 
-  const Box& region() const { return region_; }
+  /// This rank's pieces, by ascending peer rank.
   const std::vector<TransferPiece>& pieces() const { return pieces_; }
 
-  /// Pieces this exporter rank must send, in deterministic order.
-  std::vector<TransferPiece> sends_of(int src_rank) const;
-
-  /// Pieces this importer rank must receive, in deterministic order.
-  std::vector<TransferPiece> recvs_of(int dst_rank) const;
-
-  /// Total elements moved (== region.count() when src/dst cover region).
+  /// Elements this rank moves (== the size of its part of the region).
   Index total_elements() const;
 
-  /// Number of distinct (src, dst) pairs that exchange a message.
-  std::size_t message_count() const { return pieces_.size(); }
-
  private:
-  Box region_;
+  RedistSchedule(const BlockDecomposition& src, const BlockDecomposition& dst,
+                 const Box& region, Index dst_row_offset, Index dst_col_offset);
+
   Index dst_row_offset_ = 0;
   Index dst_col_offset_ = 0;
   std::vector<TransferPiece> pieces_;

@@ -100,9 +100,10 @@ ScaleReport run_scale(const ScaleConfig& config) {
 
     std::vector<ExportConnConfig> conns;
     conns.push_back(ExportConnConfig{0, s.policy, s.tolerance,
-                                     dist::RedistSchedule(one, one, one.domain()),
+                                     dist::RedistSchedule::for_exporter(0, one, one,
+                                                                        one.domain()),
                                      {kImporter}});
-    ExportRegionState state("scale" + std::to_string(r), one.domain(), 0, std::move(conns),
+    ExportRegionState state("scale" + std::to_string(r), one.domain(), std::move(conns),
                             options, kRepRoute);
 
     // Merge the two streams: request i fires once the export stream has

@@ -22,13 +22,14 @@ class ExportStateTest : public ::testing::Test {
   ExportRegionState make_state(MatchPolicy policy, double tol, bool trace = true,
                                int conn_id = 0) {
     dist::BlockDecomposition one(4, 4, 1, 1);
-    ExportConnConfig cfg{conn_id, policy, tol, dist::RedistSchedule(one, one, one.domain()),
+    ExportConnConfig cfg{conn_id, policy, tol,
+                         dist::RedistSchedule::for_exporter(0, one, one, one.domain()),
                          {kImporterProc}};
     std::vector<ExportConnConfig> conns;
     conns.push_back(std::move(cfg));
     FrameworkOptions options;
     options.trace = trace;
-    return ExportRegionState("r1", one.domain(), 0, std::move(conns), options, kRepRoute);
+    return ExportRegionState("r1", one.domain(), std::move(conns), options, kRepRoute);
   }
 
   /// Exports a block whose every element equals the timestamp.
@@ -313,13 +314,13 @@ TEST_F(ExportStateTest, TwoConnectionsShareSnapshots) {
   dist::BlockDecomposition one(4, 4, 1, 1);
   std::vector<ExportConnConfig> conns;
   conns.push_back(ExportConnConfig{0, MatchPolicy::REGL, 2.5,
-                                   dist::RedistSchedule(one, one, one.domain()),
+                                   dist::RedistSchedule::for_exporter(0, one, one, one.domain()),
                                    {kImporterProc}});
   conns.push_back(ExportConnConfig{1, MatchPolicy::REGL, 5.0,
-                                   dist::RedistSchedule(one, one, one.domain()),
+                                   dist::RedistSchedule::for_exporter(0, one, one, one.domain()),
                                    {kImporterProc + 1}});
   FrameworkOptions options;
-  ExportRegionState state("r1", one.domain(), 0, std::move(conns), options, kRepRoute);
+  ExportRegionState state("r1", one.domain(), std::move(conns), options, kRepRoute);
 
   std::vector<double> block(16, 0.0);
   for (int k = 1; k <= 10; ++k) {

@@ -17,11 +17,11 @@ std::string run_figure_scenario(bool buddy_help) {
   dist::BlockDecomposition one(4, 4, 1, 1);
   std::vector<ExportConnConfig> conns;
   conns.push_back(ExportConnConfig{0, MatchPolicy::REGL, 5.0,
-                                   dist::RedistSchedule(one, one, one.domain()),
+                                   dist::RedistSchedule::for_exporter(0, one, one, one.domain()),
                                    {42}});
   FrameworkOptions options;
   options.trace = true;
-  ExportRegionState state("r1", one.domain(), 0, std::move(conns), options, kRepRoute);
+  ExportRegionState state("r1", one.domain(), std::move(conns), options, kRepRoute);
 
   std::vector<double> block(16, 0.0);
   auto do_export = [&](double t) {

@@ -89,7 +89,8 @@ INSTANTIATE_TEST_SUITE_P(
                       WindowCase{Box{0, 24, 21, 24}, 4, 3},   // east column strip
                       WindowCase{Box{8, 16, 8, 16}, 4, 4},    // interior patch
                       WindowCase{Box{0, 24, 0, 24}, 4, 2},    // explicit full domain
-                      WindowCase{Box{6, 7, 6, 7}, 9, 1}),     // single cell
+                      WindowCase{Box{6, 7, 6, 7}, 9, 1},      // single cell
+                      WindowCase{Box{5, 19, 3, 22}, 6, 4}),   // off-center, uneven blocks
     [](const ::testing::TestParamInfo<WindowCase>& info) {
       const Box& w = info.param.window;
       return "w" + std::to_string(w.row_begin) + "_" + std::to_string(w.row_end) + "_" +

@@ -2,9 +2,15 @@
 // decomposition exactly tiles its domain for arbitrary sizes/grids.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <utility>
+#include <vector>
+
 #include "dist/box.hpp"
 #include "util/check.hpp"
 #include "dist/decomposition.hpp"
+#include "util/rng.hpp"
 
 namespace ccf::dist {
 namespace {
@@ -132,6 +138,38 @@ TEST(Decomposition, RanksOverlapping) {
   EXPECT_EQ(row, (std::vector<int>{0, 1}));
 }
 
+TEST(Decomposition, RanksOverlappingMatchesBruteForce) {
+  // Random grids with uneven blocks, probed with boxes that reach past
+  // the domain on every side; a quarter are drawn unordered, so empty and
+  // inverted boxes come up often.
+  util::Xoshiro256 rng(0xB10C);
+  const auto draw = [&](Index lo, Index hi) {
+    return lo + static_cast<Index>(rng.below(static_cast<std::uint64_t>(hi - lo + 1)));
+  };
+  for (int i = 0; i < 400; ++i) {
+    const Index rows = draw(1, 30);
+    const Index cols = draw(1, 30);
+    const BlockDecomposition d(rows, cols, static_cast<int>(draw(1, std::min<Index>(rows, 7))),
+                               static_cast<int>(draw(1, std::min<Index>(cols, 7))));
+    for (int k = 0; k < 25; ++k) {
+      Index r0 = draw(-4, rows + 4), r1 = draw(-4, rows + 4);
+      Index c0 = draw(-4, cols + 4), c1 = draw(-4, cols + 4);
+      if (rng.below(4) != 0) {
+        if (r0 > r1) std::swap(r0, r1);
+        if (c0 > c1) std::swap(c0, c1);
+      }
+      const Box box{r0, r1, c0, c1};
+      std::vector<int> expect;
+      for (int rank = 0; rank < d.nprocs(); ++rank) {
+        if (overlaps(d.box_of(rank), box)) expect.push_back(rank);
+      }
+      ASSERT_EQ(d.ranks_overlapping(box), expect)
+          << rows << "x" << cols << " on " << d.proc_rows() << "x" << d.proc_cols() << ", box "
+          << box;
+    }
+  }
+}
+
 TEST(Decomposition, Validation) {
   EXPECT_THROW(BlockDecomposition(0, 10, 1, 1), util::InvalidArgument);
   EXPECT_THROW(BlockDecomposition(10, 10, 11, 1), util::InvalidArgument);
@@ -151,6 +189,52 @@ TEST(Decomposition, GridChoicePrefersSquareBlocks) {
   const auto wide = BlockDecomposition::make_grid(10, 1000, 4);
   EXPECT_EQ(wide.proc_rows(), 1);
   EXPECT_EQ(wide.proc_cols(), 4);
+}
+
+TEST(Decomposition, MakeGridFitsElongatedDomains) {
+  // Every fitting grid of these has blocks more than e times longer than
+  // wide; the squarest one that fits must still be chosen.
+  const auto tall = BlockDecomposition::make_grid(100, 2, 4);  // 1x4 does not fit
+  EXPECT_EQ(tall.proc_rows(), 4);
+  EXPECT_EQ(tall.proc_cols(), 1);
+  const auto strip = BlockDecomposition::make_grid(1000, 10, 10);  // 100x10 blocks
+  EXPECT_EQ(strip.proc_rows(), 10);
+  EXPECT_EQ(strip.proc_cols(), 1);
+  const auto thin = BlockDecomposition::make_grid(100, 3, 3);  // 33x3 blocks, not 100x1
+  EXPECT_EQ(thin.proc_rows(), 3);
+  EXPECT_EQ(thin.proc_cols(), 1);
+  EXPECT_THROW(BlockDecomposition::make_grid(2, 2, 5), util::InvalidArgument);
+}
+
+TEST(Decomposition, MakeGridPicksTheSquarestFittingGrid) {
+  // Brute force over small shapes: the chosen grid fits, and no fitting
+  // factorization has strictly squarer blocks.
+  const auto score = [](Index rows, Index cols, int pr, int pc) {
+    return -std::abs(std::log((static_cast<double>(rows) / pr) / (static_cast<double>(cols) / pc)));
+  };
+  for (Index rows = 1; rows <= 12; ++rows) {
+    for (Index cols = 1; cols <= 12; ++cols) {
+      for (int nprocs = 1; nprocs <= 16; ++nprocs) {
+        bool fits = false;
+        double best = 0;
+        for (int pr = 1; pr <= nprocs; ++pr) {
+          const int pc = nprocs / pr;
+          if (pr * pc != nprocs || pr > rows || pc > cols) continue;
+          best = fits ? std::max(best, score(rows, cols, pr, pc)) : score(rows, cols, pr, pc);
+          fits = true;
+        }
+        if (!fits) {
+          EXPECT_THROW(BlockDecomposition::make_grid(rows, cols, nprocs), util::InvalidArgument);
+          continue;
+        }
+        const auto d = BlockDecomposition::make_grid(rows, cols, nprocs);
+        EXPECT_EQ(d.nprocs(), nprocs);
+        EXPECT_EQ(score(rows, cols, d.proc_rows(), d.proc_cols()), best)
+            << rows << "x" << cols << " on " << nprocs << " chose " << d.proc_rows() << "x"
+            << d.proc_cols();
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 // MxN redistribution over both runtimes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "core/buffer_pool.hpp"
 #include "dist/dist_array.hpp"
@@ -67,17 +69,45 @@ TEST(PackFromPacked, ExtractsSubBox) {
   EXPECT_THROW(pack_from_packed(buf_box, buf, Box{9, 13, 22, 24}), util::InvalidArgument);
 }
 
+/// Every exporter rank's send pieces, concatenated by rank.
+std::vector<TransferPiece> all_sends(const BlockDecomposition& src, const BlockDecomposition& dst,
+                                     const Box& region) {
+  std::vector<TransferPiece> out;
+  for (int r = 0; r < src.nprocs(); ++r) {
+    const auto sched = RedistSchedule::for_exporter(r, src, dst, region);
+    out.insert(out.end(), sched.pieces().begin(), sched.pieces().end());
+  }
+  return out;
+}
+
+/// Every importer rank's receive pieces, concatenated by rank.
+std::vector<TransferPiece> all_recvs(const BlockDecomposition& src, const BlockDecomposition& dst,
+                                     const Box& region) {
+  std::vector<TransferPiece> out;
+  for (int r = 0; r < dst.nprocs(); ++r) {
+    const auto sched = RedistSchedule::for_importer(r, src, dst, region);
+    out.insert(out.end(), sched.pieces().begin(), sched.pieces().end());
+  }
+  return out;
+}
+
+Index total_count(const std::vector<TransferPiece>& pieces) {
+  Index total = 0;
+  for (const auto& p : pieces) total += p.box.count();
+  return total;
+}
+
 TEST(Schedule, CoversRegionExactly) {
   const auto src = BlockDecomposition::make_grid(64, 64, 4);
   const auto dst = BlockDecomposition::make_grid(64, 64, 9);
   const Box region{0, 64, 0, 64};
-  const RedistSchedule sched(src, dst, region);
-  EXPECT_EQ(sched.total_elements(), region.count());
-  // Pieces are disjoint.
-  const auto& pieces = sched.pieces();
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    for (std::size_t j = i + 1; j < pieces.size(); ++j) {
-      EXPECT_FALSE(overlaps(pieces[i].box, pieces[j].box));
+  // The union over all ranks of either side covers the region once.
+  for (const auto& pieces : {all_sends(src, dst, region), all_recvs(src, dst, region)}) {
+    EXPECT_EQ(total_count(pieces), region.count());
+    for (std::size_t i = 0; i < pieces.size(); ++i) {
+      for (std::size_t j = i + 1; j < pieces.size(); ++j) {
+        EXPECT_FALSE(overlaps(pieces[i].box, pieces[j].box));
+      }
     }
   }
 }
@@ -86,41 +116,73 @@ TEST(Schedule, SubRegionTransfers) {
   const auto src = BlockDecomposition::make_grid(100, 100, 4);
   const auto dst = BlockDecomposition::make_grid(100, 100, 4);
   const Box region{25, 75, 25, 75};
-  const RedistSchedule sched(src, dst, region);
-  EXPECT_EQ(sched.total_elements(), region.count());
-  for (const auto& p : sched.pieces()) EXPECT_TRUE(region.contains(p.box));
+  for (const auto& pieces : {all_sends(src, dst, region), all_recvs(src, dst, region)}) {
+    EXPECT_EQ(total_count(pieces), region.count());
+    for (const auto& p : pieces) EXPECT_TRUE(region.contains(p.box));
+  }
+  // Each rank's schedule covers exactly its part of the region.
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_EQ(RedistSchedule::for_exporter(r, src, dst, region).total_elements(),
+              intersect(src.box_of(r), region).count());
+    EXPECT_EQ(RedistSchedule::for_importer(r, src, dst, region).total_elements(),
+              intersect(dst.box_of(r), region).count());
+  }
 }
 
 TEST(Schedule, IdenticalLayoutsYieldLocalPieces) {
   const auto d = BlockDecomposition::make_grid(64, 64, 4);
-  const RedistSchedule sched(d, d, Box{0, 64, 0, 64});
-  EXPECT_EQ(sched.pieces().size(), 4u);
-  for (const auto& p : sched.pieces()) EXPECT_EQ(p.src_rank, p.dst_rank);
+  const Box region{0, 64, 0, 64};
+  for (int r = 0; r < 4; ++r) {
+    const auto sends = RedistSchedule::for_exporter(r, d, d, region).pieces();
+    const auto recvs = RedistSchedule::for_importer(r, d, d, region).pieces();
+    ASSERT_EQ(sends.size(), 1u);
+    EXPECT_EQ(sends[0], (TransferPiece{r, r, d.box_of(r)}));
+    EXPECT_EQ(recvs, sends);
+  }
 }
 
 TEST(Schedule, SendsRecvsPartitionPieces) {
+  // Both sides derive the same pieces: the exporters' sends and the
+  // importers' receives are one set, split by rank two ways.
   const auto src = BlockDecomposition::make_grid(64, 64, 4);
   const auto dst = BlockDecomposition::make_grid(64, 64, 16);
-  const RedistSchedule sched(src, dst, Box{0, 64, 0, 64});
-  std::size_t total_sends = 0, total_recvs = 0;
-  for (int r = 0; r < 4; ++r) total_sends += sched.sends_of(r).size();
-  for (int r = 0; r < 16; ++r) total_recvs += sched.recvs_of(r).size();
-  EXPECT_EQ(total_sends, sched.pieces().size());
-  EXPECT_EQ(total_recvs, sched.pieces().size());
+  auto sends = all_sends(src, dst, Box{0, 64, 0, 64});
+  auto recvs = all_recvs(src, dst, Box{0, 64, 0, 64});
+  EXPECT_EQ(sends.size(), 16u);
+  const auto by_ranks = [](const TransferPiece& a, const TransferPiece& b) {
+    return std::pair(a.src_rank, a.dst_rank) < std::pair(b.src_rank, b.dst_rank);
+  };
+  std::sort(sends.begin(), sends.end(), by_ranks);
+  std::sort(recvs.begin(), recvs.end(), by_ranks);
+  EXPECT_EQ(sends, recvs);
 }
 
 TEST(Schedule, RejectsBadRegions) {
   const auto d = BlockDecomposition::make_grid(16, 16, 4);
-  EXPECT_THROW(RedistSchedule(d, d, Box{}), util::InvalidArgument);
-  EXPECT_THROW(RedistSchedule(d, d, Box{0, 17, 0, 16}), util::InvalidArgument);
+  const auto small = BlockDecomposition::make_grid(8, 8, 4);
+  EXPECT_THROW(RedistSchedule::for_exporter(0, d, d, Box{}), util::InvalidArgument);
+  EXPECT_THROW(RedistSchedule::for_importer(0, d, d, Box{}), util::InvalidArgument);
+  // Escapes the exporter domain.
+  EXPECT_THROW(RedistSchedule::for_exporter(0, d, d, Box{0, 17, 0, 16}), util::InvalidArgument);
+  EXPECT_THROW(RedistSchedule::for_importer(0, d, d, Box{0, 17, 0, 16}), util::InvalidArgument);
+  // Escapes the importer domain translated to its window at (4, 4).
+  EXPECT_THROW(RedistSchedule::for_exporter(0, d, small, Box{2, 10, 4, 12}, 4, 4),
+               util::InvalidArgument);
+  EXPECT_THROW(RedistSchedule::for_importer(0, d, small, Box{2, 10, 4, 12}, 4, 4),
+               util::InvalidArgument);
+  // Ranks outside either grid.
+  EXPECT_THROW(RedistSchedule::for_exporter(4, d, d, Box{0, 16, 0, 16}), util::InvalidArgument);
+  EXPECT_THROW(RedistSchedule::for_importer(4, d, d, Box{0, 16, 0, 16}), util::InvalidArgument);
 }
 
-// Runs a schedule single-threaded through ScriptedContexts: every source
-// rank's sends are executed, then the resulting messages are fed to every
-// destination rank's inbox and received. Returns the filled dst arrays.
-std::vector<DistArray2D<double>> run_scripted(const RedistSchedule& sched,
-                                              const BlockDecomposition& src_decomp,
+// Moves `region` single-threaded through ScriptedContexts: every source
+// rank executes its own send schedule, then the resulting messages are fed
+// to every destination rank's inbox and received with that rank's receive
+// schedule. Returns the filled dst arrays.
+std::vector<DistArray2D<double>> run_scripted(const BlockDecomposition& src_decomp,
                                               const BlockDecomposition& dst_decomp,
+                                              const Box& region, Index dst_row_offset,
+                                              Index dst_col_offset,
                                               const std::vector<double>& fill_src,
                                               TransferStats* stats = nullptr) {
   std::vector<ProcId> src_ids, dst_ids;
@@ -136,7 +198,9 @@ std::vector<DistArray2D<double>> run_scripted(const RedistSchedule& sched,
       return fill_src[i++ % fill_src.size()] + static_cast<double>(gr) * 1000 +
              static_cast<double>(gc);
     });
-    execute_sends_packed(ctx, sched, r, dst_ids, 77, a.local_box(), a.data(), stats);
+    const auto sched = RedistSchedule::for_exporter(r, src_decomp, dst_decomp, region,
+                                                    dst_row_offset, dst_col_offset);
+    execute_sends_packed(ctx, sched, dst_ids, 77, a.local_box(), a.data(), stats);
     for (auto& m : ctx.sent()) wire.push_back(m);
   }
 
@@ -147,7 +211,9 @@ std::vector<DistArray2D<double>> run_scripted(const RedistSchedule& sched,
       if (m.dst == dst_ids[static_cast<std::size_t>(r)]) ctx.push_inbox(m);
     }
     out.emplace_back(dst_decomp, r);
-    execute_recvs(ctx, sched, r, src_ids, 77, out.back());
+    const auto sched = RedistSchedule::for_importer(r, src_decomp, dst_decomp, region,
+                                                    dst_row_offset, dst_col_offset);
+    execute_recvs(ctx, sched, src_ids, 77, out.back());
   }
   return out;
 }
@@ -158,10 +224,8 @@ TEST(RedistWindowed, RoundTripsWithNonzeroDstOffsets) {
   const auto src_decomp = BlockDecomposition::make_grid(20, 20, 2);
   const auto dst_decomp = BlockDecomposition::make_grid(8, 8, 4);
   const Box region{4, 12, 6, 14};
-  const RedistSchedule sched(src_decomp, dst_decomp, region, /*dst_row_offset=*/4,
-                             /*dst_col_offset=*/6);
-
-  auto out = run_scripted(sched, src_decomp, dst_decomp, {0.5});
+  auto out = run_scripted(src_decomp, dst_decomp, region, /*dst_row_offset=*/4,
+                          /*dst_col_offset=*/6, {0.5});
   for (int r = 0; r < dst_decomp.nprocs(); ++r) {
     const Box b = out[static_cast<std::size_t>(r)].local_box();
     for (Index i = b.row_begin; i < b.row_end; ++i) {
@@ -180,8 +244,7 @@ TEST(RedistWindowed, SingleRowAndSingleColumnPieces) {
   const auto src_decomp = BlockDecomposition::make_grid(16, 16, 4);
   {
     const auto dst_decomp = BlockDecomposition::make_grid(1, 16, 2);
-    const RedistSchedule sched(src_decomp, dst_decomp, Box{5, 6, 0, 16}, 5, 0);
-    auto out = run_scripted(sched, src_decomp, dst_decomp, {0.25});
+    auto out = run_scripted(src_decomp, dst_decomp, Box{5, 6, 0, 16}, 5, 0, {0.25});
     for (int r = 0; r < 2; ++r) {
       const Box b = out[static_cast<std::size_t>(r)].local_box();
       for (Index j = b.col_begin; j < b.col_end; ++j) {
@@ -194,8 +257,7 @@ TEST(RedistWindowed, SingleRowAndSingleColumnPieces) {
     // One importer owning the whole 16x1 strip: each exporter column-piece
     // is a single-element-per-row strided copy.
     const auto dst_decomp = BlockDecomposition::make_grid(16, 1, 1);
-    const RedistSchedule sched(src_decomp, dst_decomp, Box{0, 16, 9, 10}, 0, 9);
-    auto out = run_scripted(sched, src_decomp, dst_decomp, {0.75});
+    auto out = run_scripted(src_decomp, dst_decomp, Box{0, 16, 9, 10}, 0, 9, {0.75});
     for (Index i = 0; i < 16; ++i) {
       EXPECT_DOUBLE_EQ(out[0].at(i, 0), 0.75 + static_cast<double>(i) * 1000 + 9.0);
     }
@@ -208,7 +270,8 @@ TEST(RedistZeroCopy, FullBoxSendAliasesSnapshotFrame) {
   // pooled wire frame (same data pointer, zero pack copies) and still be
   // byte-identical to what the packed path would produce.
   const auto decomp = BlockDecomposition::make_grid(8, 8, 1);
-  const RedistSchedule sched(decomp, decomp, Box{0, 8, 0, 8});
+  const auto sends = RedistSchedule::for_exporter(0, decomp, decomp, Box{0, 8, 0, 8});
+  const auto recvs = RedistSchedule::for_importer(0, decomp, decomp, Box{0, 8, 0, 8});
 
   DistArray2D<double> a(decomp, 0);
   a.fill(cell_value);
@@ -219,8 +282,8 @@ TEST(RedistZeroCopy, FullBoxSendAliasesSnapshotFrame) {
   const transport::Payload frame = pool.wire_payload(1.0);
 
   TransferStats stats;
-  execute_sends_packed(ctx, sched, 0, {100}, 77, a.local_box(),
-                       pool.snapshot(1.0).data(), &stats, frame);
+  execute_sends_packed(ctx, sends, {100}, 77, a.local_box(), pool.snapshot(1.0).data(), &stats,
+                       frame);
   ASSERT_EQ(ctx.sent().size(), 1u);
   const runtime::Message& sent = ctx.sent()[0];
 
@@ -241,7 +304,7 @@ TEST(RedistZeroCopy, FullBoxSendAliasesSnapshotFrame) {
   runtime::ScriptedContext rctx(100);
   rctx.push_inbox(sent);
   DistArray2D<double> b(decomp, 0);
-  execute_recvs(rctx, sched, 0, {0}, 77, b);
+  execute_recvs(rctx, recvs, {0}, 77, b);
   for (Index i = 0; i < 8; ++i) {
     for (Index j = 0; j < 8; ++j) EXPECT_DOUBLE_EQ(b.at(i, j), cell_value(i, j));
   }
@@ -252,9 +315,8 @@ TEST(RedistZeroCopy, PartialPiecesCostOneCopyPerByte) {
   // each is packed exactly once (1 extra copy per delivered byte).
   const auto src_decomp = BlockDecomposition::make_grid(8, 8, 1);
   const auto dst_decomp = BlockDecomposition::make_grid(8, 8, 4);
-  const RedistSchedule sched(src_decomp, dst_decomp, Box{0, 8, 0, 8});
   TransferStats stats;
-  auto out = run_scripted(sched, src_decomp, dst_decomp, {0.0}, &stats);
+  auto out = run_scripted(src_decomp, dst_decomp, Box{0, 8, 0, 8}, 0, 0, {0.0}, &stats);
   EXPECT_EQ(stats.sends_aliased, 0u);
   EXPECT_EQ(stats.sends_packed, 4u);
   EXPECT_EQ(stats.bytes_delivered, 64 * sizeof(double));
@@ -276,7 +338,6 @@ TEST_P(RedistEndToEnd, MovesAllDataCorrectly) {
   const auto src_decomp = BlockDecomposition::make_grid(param.rows, param.cols, param.src_procs);
   const auto dst_decomp = BlockDecomposition::make_grid(param.rows, param.cols, param.dst_procs);
   const Box region{0, param.rows, 0, param.cols};
-  const RedistSchedule sched(src_decomp, dst_decomp, region);
 
   runtime::ClusterOptions options;
   options.mode = param.mode;
@@ -292,14 +353,20 @@ TEST_P(RedistEndToEnd, MovesAllDataCorrectly) {
                          [&, r](runtime::ProcessContext& ctx) {
                            DistArray2D<double> a(src_decomp, r);
                            a.fill(cell_value);
-                           execute_sends(ctx, sched, r, dst_ids, 77, a);
+                           execute_sends(ctx,
+                                         RedistSchedule::for_exporter(r, src_decomp,
+                                                                      dst_decomp, region),
+                                         dst_ids, 77, a);
                          });
   }
   for (int r = 0; r < param.dst_procs; ++r) {
     cluster->add_process(dst_ids[static_cast<std::size_t>(r)],
                          [&, r](runtime::ProcessContext& ctx) {
                            DistArray2D<double> a(dst_decomp, r);
-                           execute_recvs(ctx, sched, r, src_ids, 77, a);
+                           execute_recvs(ctx,
+                                         RedistSchedule::for_importer(r, src_decomp,
+                                                                      dst_decomp, region),
+                                         src_ids, 77, a);
                            const Box b = a.local_box();
                            bool good = true;
                            for (Index i = b.row_begin; i < b.row_end; ++i) {
