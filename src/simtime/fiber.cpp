@@ -5,11 +5,19 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <functional>
+#include <iterator>
+#include <mutex>
 #include <new>
 #include <utility>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -40,9 +48,9 @@
 // MXCSR and x87 control words, stores the stack pointer to *save, then
 // switches to the stack pointer `load` and pops the same frame from there.
 // A new fiber's stack is seeded with such a frame whose return address is
-// Fiber::start (see Fiber::map_stack). Returning to an address the call
-// did not push rules out hardware shadow stacks (CET), which Linux leaves
-// off unless a process opts in.
+// Fiber::start_entry (see Fiber::seed_stack). Returning to an address the
+// call did not push rules out hardware shadow stacks (CET), which Linux
+// leaves off unless a process opts in.
 extern "C" void ccf_fiber_switch(void** save, void* load);
 asm(R"(
   .pushsection .text
@@ -81,8 +89,12 @@ namespace ccf::simtime {
 
 namespace {
 
-/// The fiber whose first resume() is in progress; Fiber::start takes it.
+/// The fiber whose start() is in progress; Fiber::start_entry takes it.
 thread_local Fiber* t_starting = nullptr;
+
+/// The word at the bottom of a canary stack. A fiber that runs past the
+/// bottom overwrites it before it reaches the stack below.
+constexpr std::uint64_t kCanary = 0x5eed'f1be'57ac'ca4eull;
 
 std::size_t page_bytes() {
   static const auto bytes = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
@@ -104,6 +116,134 @@ std::size_t default_stack_bytes() {
   return bytes;
 }
 
+/// A stack's slot in the pool: one page below the stack (its guard page,
+/// or under a canary a gap nothing touches), then the stack.
+std::size_t slot_bytes() { return page_bytes() + default_stack_bytes(); }
+
+/// Map entries this process may still create: vm.max_map_count less the
+/// lines of /proc/self/maps (one too many where [vsyscall] is listed), and
+/// never below zero. Negative when either cannot be read.
+long free_map_entries() {
+  long limit = -1;
+  std::ifstream("/proc/sys/vm/max_map_count") >> limit;
+  std::ifstream maps("/proc/self/maps");
+  if (limit < 0 || !maps) return -1;
+  const long entries = std::count(std::istreambuf_iterator<char>(maps),
+                                  std::istreambuf_iterator<char>(), '\n');
+  return std::max(0L, limit - entries);
+}
+
+/// Every fiber stack in the process. Slots are carved in address order
+/// from reservations of kSlotsPerReservation, and a carved slot stays a
+/// stack for good: it returns to a free list, never to the system. The
+/// pool thus holds at most as many stacks as were ever in use at once.
+class StackPool {
+ public:
+  struct Stack {
+    char* slot;
+    bool canary;
+  };
+
+  static StackPool& instance() {
+    // Never destroyed: a static Fiber may outlive any static pool.
+    static StackPool* const pool = new StackPool;
+    return *pool;
+  }
+
+  StackProtection plan(std::size_t fibers) {
+    std::size_t guarded = 0;
+    std::size_t free = 0;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      // Fibers then take free stacks from the highest address down, as
+      // they would get fresh mappings: fibers that start one after the
+      // other get neighbouring stacks, whatever order the last run gave
+      // them back in.
+      std::sort(guarded_.begin(), guarded_.end(), std::less<char*>());
+      std::sort(canaried_.begin(), canaried_.end(), std::less<char*>());
+      guarded = guarded_.size();
+      free = guarded + canaried_.size();
+    }
+    if (guarded >= fibers) return StackProtection::GuardPage;
+    if (free >= fibers) return StackProtection::Canary;
+    // Each stack a guard page run adds costs two map entries: the stack
+    // and the guard page split off below it.
+    const long budget = free_map_entries();
+    const bool guards_fit = budget < 0 || static_cast<std::size_t>(budget) / 2 >= fibers - guarded;
+    return guards_fit ? StackProtection::GuardPage : StackProtection::Canary;
+  }
+
+  Stack take(StackProtection protection) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!guarded_.empty()) return {pop(guarded_), false};
+    if (protection == StackProtection::Canary) {
+      if (!canaried_.empty()) return {pop(canaried_), true};
+      char* slot = fresh_slot();
+      std::memcpy(slot + page_bytes(), &kCanary, sizeof kCanary);
+      carve();
+      return {slot, true};
+    }
+    // A guard page run protects a free canary stack, or else a fresh slot.
+    const bool reuse = !canaried_.empty();
+    char* slot = reuse ? canaried_.back() : fresh_slot();
+    CCF_CHECK(::mprotect(slot, page_bytes(), PROT_NONE) == 0,
+              "fiber guard page mprotect failed: " << std::strerror(errno));
+    if (reuse) {
+      canaried_.pop_back();
+    } else {
+      carve();
+    }
+    return {slot, false};
+  }
+
+  void give(Stack stack) noexcept {
+    std::lock_guard<std::mutex> lock(mutex_);
+    (stack.canary ? canaried_ : guarded_).push_back(stack.slot);  // capacity reserved by carve()
+  }
+
+ private:
+  /// Few map calls for wide runs, little address space held back by
+  /// narrow ones.
+  static constexpr std::size_t kSlotsPerReservation = 16;
+
+  static char* pop(std::vector<char*>& list) {
+    char* slot = list.back();
+    list.pop_back();
+    return slot;
+  }
+
+  /// The next slot not yet carved, mapping a new reservation if none is.
+  char* fresh_slot() {
+    if (next_ == end_) {
+      const std::size_t bytes = kSlotsPerReservation * slot_bytes();
+      // Pages are committed as fibers touch them, as for a thread stack.
+      void* base = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                          MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+      CCF_CHECK(base != MAP_FAILED, "fiber stack mmap failed: " << std::strerror(errno));
+      next_ = static_cast<char*>(base);
+      end_ = next_ + bytes;
+    }
+    return next_;
+  }
+
+  /// Makes fresh_slot() a stack. Each free list can then take back every
+  /// stack without allocating, so give() cannot fail.
+  void carve() {
+    const std::size_t stacks = stacks_ + 1;
+    if (guarded_.capacity() < stacks) guarded_.reserve(2 * stacks);
+    if (canaried_.capacity() < stacks) canaried_.reserve(2 * stacks);
+    stacks_ = stacks;
+    next_ += slot_bytes();
+  }
+
+  std::mutex mutex_;
+  std::vector<char*> guarded_;   ///< free guard-paged stacks, by slot
+  std::vector<char*> canaried_;  ///< free canary stacks, by slot
+  char* next_ = nullptr;         ///< the reservation's slots not yet carved
+  char* end_ = nullptr;
+  std::size_t stacks_ = 0;
+};
+
 /// Saves the running context into `from` and continues `to`.
 void jump(void*& from, void* to) {
 #ifdef CCF_FIBER_X86_64
@@ -117,35 +257,31 @@ void jump(void*& from, void* to) {
 
 Fiber::~Fiber() { release_stack(); }
 
-void Fiber::map_stack() {
-  const std::size_t page = page_bytes();
-  const std::size_t stack_bytes = default_stack_bytes();
-  // Pages are committed as the fiber touches them, as for a thread stack.
-  void* base = ::mmap(nullptr, page + stack_bytes, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
-  CCF_CHECK(base != MAP_FAILED, "fiber stack mmap failed: " << std::strerror(errno));
-  // Splitting off the guard page costs a second map entry, which fails at
-  // vm.max_map_count; the fiber then stays without a stack (not started).
-  const bool guarded = ::mprotect(base, page, PROT_NONE) == 0;
-  if (!guarded) {
-    const int error = errno;
-    ::munmap(base, page + stack_bytes);
-    errno = error;
-  }
-  CCF_CHECK(guarded, "fiber guard page mprotect failed: " << std::strerror(errno));
-  mapping_ = base;
-  mapping_bytes_ = page + stack_bytes;
-  char* bottom = static_cast<char*>(base) + page;
-  char* top = bottom + stack_bytes;
+StackProtection Fiber::plan_stacks(std::size_t fibers) {
+  return StackPool::instance().plan(fibers);
+}
+
+void Fiber::start(StackProtection protection) {
+  const StackPool::Stack stack = StackPool::instance().take(protection);
+  slot_ = stack.slot;
+  canary_ = stack.canary;
+  seed_stack();
+  t_starting = this;
+  resume();
+}
+
+void Fiber::seed_stack() {
+  char* bottom = slot_ + page_bytes();
+  char* top = bottom + default_stack_bytes();
 #ifdef CCF_FIBER_X86_64
   // The frame ccf_fiber_switch pops, upward from the saved stack pointer:
   // padding, MXCSR, x87 control word, r15, r14, r13, r12, rbx, rbp, and
   // the address it returns to. Above it sits a null return address for
-  // start(), which ends every unwind and backtrace there; start() is thus
-  // entered with the stack aligned as for a call.
+  // start_entry(), which ends every unwind and backtrace there;
+  // start_entry() is thus entered with the stack aligned as for a call.
   auto** slot = reinterpret_cast<void**>(top);
   *--slot = nullptr;
-  *--slot = reinterpret_cast<void*>(&Fiber::start);
+  *--slot = reinterpret_cast<void*>(&Fiber::start_entry);
   for (int reg = 0; reg < 6; ++reg) *--slot = nullptr;
   slot -= 2;
   std::uint32_t mxcsr = 0;
@@ -155,7 +291,7 @@ void Fiber::map_stack() {
   std::memcpy(reinterpret_cast<char*>(slot) + 12, &x87_control, sizeof x87_control);
   context_ = slot;
 #else
-  // Both saved contexts live at the top of the mapping, above the stack.
+  // Both saved contexts live at the top of the stack.
   auto address = reinterpret_cast<std::uintptr_t>(top) - 2 * sizeof(ucontext_t);
   address -= address % alignof(ucontext_t);
   auto* contexts = reinterpret_cast<ucontext_t*>(address);
@@ -165,7 +301,7 @@ void Fiber::map_stack() {
   fiber->uc_stack.ss_sp = bottom;
   fiber->uc_stack.ss_size = address - reinterpret_cast<std::uintptr_t>(bottom);
   fiber->uc_link = nullptr;
-  ::makecontext(fiber, &Fiber::start, 0);
+  ::makecontext(fiber, &Fiber::start_entry, 0);
   context_ = fiber;
 #endif
 #ifdef CCF_FIBER_TSAN
@@ -174,16 +310,11 @@ void Fiber::map_stack() {
 }
 
 void Fiber::resume() {
-  if (mapping_ == nullptr) {
-    map_stack();
-    t_starting = this;
-  }
   swap_exception_state();
 #ifdef CCF_FIBER_ASAN
   void* resumer_fake_stack = nullptr;
-  __sanitizer_start_switch_fiber(&resumer_fake_stack,
-                                 static_cast<char*>(mapping_) + page_bytes(),
-                                 mapping_bytes_ - page_bytes());
+  __sanitizer_start_switch_fiber(&resumer_fake_stack, slot_ + page_bytes(),
+                                 default_stack_bytes());
 #endif
 #ifdef CCF_FIBER_TSAN
   tsan_resumer_ = __tsan_get_current_fiber();
@@ -194,12 +325,17 @@ void Fiber::resume() {
   __sanitizer_finish_switch_fiber(resumer_fake_stack, nullptr, nullptr);
 #endif
   swap_exception_state();
+  if (canary_) {
+    std::uint64_t bottom_word = 0;
+    std::memcpy(&bottom_word, slot_ + page_bytes(), sizeof bottom_word);
+    if (bottom_word != kCanary) abort_on_overflow();
+  }
   if (finished_) release_stack();
 }
 
 void Fiber::suspend() { switch_to_resumer(false); }
 
-void Fiber::start() noexcept {
+void Fiber::start_entry() noexcept {
   Fiber* self = t_starting;
 #ifdef CCF_FIBER_ASAN
   __sanitizer_finish_switch_fiber(nullptr, &self->resumer_stack_bottom_,
@@ -242,19 +378,29 @@ void Fiber::swap_exception_state() {
   idle_exceptions_ = running;
 }
 
+void Fiber::abort_on_overflow() const {
+  // The fiber wrote past its stack, possibly into the frames of the stack
+  // below; unwinding would resume that neighbour, so nothing may run on.
+  std::fprintf(stderr,
+               "fiber stack overflow: process %ld ran past the bottom of its %zu-byte stack "
+               "(canary overwritten)\n",
+               id_, default_stack_bytes());
+  std::abort();
+}
+
 void Fiber::release_stack() noexcept {
-  if (mapping_ == nullptr) return;
+  if (slot_ == nullptr) return;
 #ifdef CCF_FIBER_TSAN
   if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
   tsan_fiber_ = nullptr;
 #endif
 #ifdef CCF_FIBER_ASAN
   // Frames that died on this stack stay poisoned in ASan's shadow memory,
-  // and a later mapping at the same address would inherit the poison.
-  ASAN_UNPOISON_MEMORY_REGION(mapping_, mapping_bytes_);
+  // and the next fiber to take the stack would inherit the poison.
+  ASAN_UNPOISON_MEMORY_REGION(slot_, slot_bytes());
 #endif
-  ::munmap(mapping_, mapping_bytes_);
-  mapping_ = nullptr;
+  StackPool::instance().give({slot_, canary_});
+  slot_ = nullptr;
 }
 
 }  // namespace ccf::simtime

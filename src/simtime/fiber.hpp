@@ -1,15 +1,25 @@
 // Stackful fibers: what the virtual-time executor runs its processes on.
 //
 // A Fiber runs a function on a stack of its own, on the thread that calls
-// resume(), until the function calls suspend() or returns; control then
-// comes back out of resume(). A switch saves only what a function call
-// preserves, so it costs tens of nanoseconds where handing control from
-// one OS thread to another costs microseconds.
+// start() or resume(), until the function calls suspend() or returns;
+// control then comes back out of that call. A switch saves only what a
+// function call preserves, so it costs tens of nanoseconds where handing
+// control from one OS thread to another costs microseconds.
 //
 // This file hides what makes such a switch safe:
-//   * the stack: mapped on the first resume(), as large as a new thread's
-//     default, with an inaccessible guard page below it, and unmapped once
-//     the function has returned;
+//   * the stack: as large as a new thread's default, taken from one
+//     process-wide pool on start() and given back once the function has
+//     returned or the fiber is destroyed. The pool carves its stacks from
+//     shared reservations and never unmaps one, so the next fiber, in this
+//     run or a later one, gets a stack whose top pages are already faulted
+//     in. It holds at most as many stacks as were ever in use at once and
+//     keeps them until the process exits. Each run decides once, in
+//     plan_stacks(), how the stacks it lacks detect overflow: with an
+//     inaccessible guard page below each (two map entries per stack) when
+//     the kernel's map-entry budget (vm.max_map_count) holds them, else
+//     with a canary word at each stack's bottom, checked whenever the
+//     fiber switches back; a fiber found to have overwritten it aborts the
+//     program;
 //   * the switch: hand-written on x86-64 (callee-saved registers plus the
 //     MXCSR and x87 control words), ucontext elsewhere;
 //   * thread state that belongs to whichever side is running: the C++
@@ -18,35 +28,57 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <utility>
 
 namespace ccf::simtime {
 
+/// How the stacks of a run's fibers detect an overflow.
+enum class StackProtection : std::uint8_t {
+  GuardPage,  ///< an inaccessible page below the stack: an overflow faults
+  Canary,     ///< a word at the stack's bottom, checked on every switch back
+};
+
 class Fiber {
  public:
-  /// `entry` runs on the fiber's stack from the first resume() on. An
-  /// exception escaping it terminates the program.
-  explicit Fiber(std::function<void()> entry) : entry_(std::move(entry)) {}
-  /// Unmaps the stack. A fiber that started and has not finished is not
-  /// unwound: its owner must first resume it to completion.
+  /// `entry` runs on the fiber's stack from start() on. An exception
+  /// escaping it terminates the program. `id` names the fiber in the
+  /// diagnosis of a stack overflow.
+  Fiber(std::function<void()> entry, long id) : entry_(std::move(entry)), id_(id) {}
+  /// Returns the stack to the pool. A fiber that started and has not
+  /// finished is not unwound: its owner must first resume it to completion.
   ~Fiber();
 
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
 
-  /// Runs the fiber until it suspends or its function returns. Called from
-  /// outside every fiber, on a fiber that has not finished.
+  /// Decides, before a run starts `fibers` fibers, how the stacks the pool
+  /// must add for them are protected. Guarded free stacks that cover the
+  /// run answer GuardPage, and free stacks of either kind that cover it
+  /// answer Canary; both without a system call. Otherwise the answer is
+  /// GuardPage if vm.max_map_count, less the map entries in use, holds two
+  /// per stack to add, else Canary.
+  static StackProtection plan_stacks(std::size_t fibers);
+
+  /// Takes a stack from the pool, protected as `protection` says (a guard
+  /// page run gets only guard-paged stacks; a canary run takes either
+  /// kind), and runs the fiber until it suspends or its function returns.
+  /// Called from outside every fiber, once. Throws, leaving the fiber
+  /// unstarted, if no stack can be had.
+  void start(StackProtection protection);
+
+  /// Runs a started fiber until it suspends or its function returns.
+  /// Called from outside every fiber, on a fiber that has not finished.
   void resume();
 
-  /// Returns control to the resume() that is running this fiber. Called
-  /// only on the fiber itself.
+  /// Returns control to the start() or resume() that is running this
+  /// fiber. Called only on the fiber itself.
   void suspend();
 
-  /// True while the fiber has a stack: from the first resume() that mapped
-  /// one until its function returns. A resume() that could not map the
-  /// stack throws and leaves the fiber unstarted.
-  bool started() const { return mapping_ != nullptr; }
+  /// True while the fiber has a stack: from start() until its function
+  /// returns.
+  bool started() const { return slot_ != nullptr; }
 
  private:
   /// Mirrors the Itanium C++ ABI's per-thread __cxa_eh_globals: the stack
@@ -59,18 +91,23 @@ class Fiber {
 #endif
   };
 
-  [[noreturn]] static void start() noexcept;
-  void map_stack();
+  [[noreturn]] static void start_entry() noexcept;
+  void seed_stack();
   void switch_to_resumer(bool final);
   void swap_exception_state();
+  [[noreturn]] void abort_on_overflow() const;
   void release_stack() noexcept;
 
   std::function<void()> entry_;
+  long id_;
+  /// The pool slot holding the stack: a page below the stack (the guard
+  /// page, or untouched space under a canary) and the stack itself. Null
+  /// unless running or suspended.
+  char* slot_ = nullptr;
+  bool canary_ = false;  ///< the stack's bottom word is a canary to check
   bool finished_ = false;
-  void* mapping_ = nullptr;  ///< guard page + stack; null unless running or suspended
-  std::size_t mapping_bytes_ = 0;
-  /// Saved contexts of the fiber and of its resume() caller: a stack
-  /// pointer on x86-64, else a ucontext_t at the top of the mapping.
+  /// Saved contexts of the fiber and of its resumer: a stack pointer on
+  /// x86-64, else a ucontext_t at the top of the stack.
   void* context_ = nullptr;
   void* resumer_context_ = nullptr;
   ExceptionState idle_exceptions_;  ///< the side not running keeps its own here

@@ -174,14 +174,19 @@ void VirtualCluster::resume(Proc& proc, SimTime at_time) {
   // Runs the process's fiber until it yields, blocks or finishes.
   proc.now = std::max(proc.now, at_time);
   end_time_ = std::max(end_time_, proc.now);
+  const bool first = proc.state == ProcState::NotStarted;
   proc.state = ProcState::Running;
-  proc.fiber.resume();
+  if (first) {
+    proc.fiber.start(stack_protection_);
+  } else {
+    proc.fiber.resume();
+  }
 }
 
 void VirtualCluster::unwind_started_procs() {
   // Each suspended process resumes once, throws ClusterAborted from its
   // yield point and runs its destructors; a body that never started — or
-  // whose first resume failed to map its stack — stays unrun.
+  // whose start found no stack — stays unrun.
   aborting_ = true;
   for (ProcId id : proc_order_) {
     Proc& p = *procs_.at(id);
@@ -206,6 +211,7 @@ void VirtualCluster::run() {
   CCF_REQUIRE(!started_, "run() called twice");
   CCF_REQUIRE(!procs_.empty(), "no processes registered");
   started_ = true;
+  stack_protection_ = Fiber::plan_stacks(procs_.size());
   // Seed: every process becomes runnable at t=0 in registration order.
   for (ProcId id : proc_order_) push_event(Event{0.0, 0, Event::Kind::Resume, id, {}});
 

@@ -153,7 +153,7 @@ class VirtualCluster {
     Proc(ProcId proc_id, std::function<void(SimContext&)> proc_body, VirtualCluster& cluster)
         : id(proc_id),
           body(std::move(proc_body)),
-          fiber([&cluster, this] { cluster.run_body(*this); }) {}
+          fiber([&cluster, this] { cluster.run_body(*this); }, proc_id) {}
 
     ProcId id;
     std::function<void(SimContext&)> body;
@@ -215,6 +215,7 @@ class VirtualCluster {
   std::uint64_t messages_delivered_ = 0;
   std::vector<JournalEntry> journal_;
   SimTime end_time_ = 0.0;
+  StackProtection stack_protection_ = StackProtection::GuardPage;  ///< set by run()
   bool started_ = false;
   bool aborting_ = false;
   std::exception_ptr first_error_;

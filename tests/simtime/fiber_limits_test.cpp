@@ -1,18 +1,24 @@
-// A fiber whose stack cannot be mapped must fail the run with an error,
-// not crash it: run() throws, every body that got a stack is unwound, and
-// the body whose stack failed never starts — not even during the abort.
+// Fiber stacks at the process's limits. A run the kernel's map-entry
+// budget cannot give two entries (stack and guard page) per new stack runs
+// on canary stacks instead; a canary a body overwrites aborts the program
+// with a diagnosis. A stack that cannot be had at all fails the run with
+// an error, not a crash: run() throws, every body that got a stack is
+// unwound, and no body starts during the abort.
 //
 // Each scenario runs in a forked child, because it exhausts a per-process
-// resource (the kernel's map-entry limit, or the address space), and
-// reports through its exit code.
+// resource (the kernel's map-entry limit, or the address space) or kills
+// the process, and reports through its exit code. The parent runs no
+// cluster, so each child starts with an empty stack pool.
 #include <gtest/gtest.h>
 
 #include <pthread.h>
+#include <signal.h>
 #include <sys/mman.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <fstream>
 #include <functional>
 #include <string>
@@ -109,10 +115,30 @@ int expect_clean_failure(VirtualCluster& cluster, const BodyLog& log,
   return kOk;
 }
 
-/// Runs `scenario` in a forked child and returns its wait status.
-int run_in_child(const std::function<int()>& scenario) {
+/// Runs `scenario` in a forked child and returns its wait status; the
+/// child's stderr goes to `err` if given. A child that hangs is killed by
+/// SIGALRM after a minute.
+int run_in_child(const std::function<int()>& scenario, std::string* err = nullptr) {
+  int pipe_fds[2] = {-1, -1};
+  if (err != nullptr && ::pipe(pipe_fds) != 0) return -1;
   const pid_t pid = ::fork();
-  if (pid == 0) ::_exit(scenario());
+  if (pid == 0) {
+    ::alarm(60);
+    if (err != nullptr) {
+      ::close(pipe_fds[0]);
+      ::dup2(pipe_fds[1], STDERR_FILENO);
+    }
+    ::_exit(scenario());
+  }
+  if (err != nullptr) {
+    ::close(pipe_fds[1]);
+    char buffer[4096];
+    ssize_t n = 0;
+    while ((n = ::read(pipe_fds[0], buffer, sizeof buffer)) > 0) {
+      err->append(buffer, static_cast<std::size_t>(n));
+    }
+    ::close(pipe_fds[0]);
+  }
   int status = 0;
   ::waitpid(pid, &status, 0);
   return status;
@@ -221,25 +247,108 @@ long address_space_bytes() {
   return -1;
 }
 
-TEST(FiberLimits, MapLimitAtGuardPageFailsTheRunInsteadOfCrashing) {
-  // Each fiber stack costs two map entries: its mapping, and the split
-  // that the guard page makes. Nine free entries fit four stacks; the
-  // fifth stack's mapping takes the last entry and its guard page fails.
+/// Why this process cannot fill a map table of `limit` entries, or null.
+const char* map_table_unfillable(long limit) {
   if (kSanitizerShadowUsesMapEntries) {
-    GTEST_SKIP() << "the sanitizer runtime competes for map entries at the limit";
+    return "the sanitizer runtime competes for map entries at the limit";
   }
+  if (limit > (1L << 22)) return "vm.max_map_count is too large to fill";
+  return nullptr;
+}
+
+TEST(FiberLimits, FullMapTableFailsTheRunInsteadOfCrashing) {
+  // A first run leaves four guard-paged stacks in the pool, and with them
+  // a reservation carved only in part. With no map entry left, the second
+  // run takes those stacks, then the reservation's remaining slots as
+  // canary stacks, and the next reservation's mmap fails. A reservation
+  // holds far fewer slots than the 40 bodies here.
   const long limit = max_map_count();
   ASSERT_GT(limit, 0) << "cannot read /proc/sys/vm/max_map_count";
-  if (limit > (1L << 22)) GTEST_SKIP() << "vm.max_map_count " << limit << " is too large to fill";
+  if (const char* why = map_table_unfillable(limit)) GTEST_SKIP() << why;
+  const int status = run_in_child([limit] {
+    {
+      VirtualCluster warm;
+      BodyLog log;
+      add_bodies(warm, log, 4);
+      warm.run();
+    }
+    VirtualCluster cluster;
+    BodyLog log;
+    add_bodies(cluster, log, 40);
+    MapTableFiller filler;
+    if (!filler.fill_to(limit)) return kSetupFailed;
+    return expect_clean_failure(cluster, log, "fiber stack mmap failed", -1);
+  });
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == kOk) << describe(status);
+}
+
+TEST(FiberLimits, TooFewMapEntriesForGuardPagesRunOnCanaryStacks) {
+  // Eight guard-paged stacks would take sixteen map entries and only nine
+  // are free, so the run puts a canary under each stack instead: one
+  // reservation, one entry, and every body runs to its end.
+  const long limit = max_map_count();
+  ASSERT_GT(limit, 0) << "cannot read /proc/sys/vm/max_map_count";
+  if (const char* why = map_table_unfillable(limit)) GTEST_SKIP() << why;
   const int status = run_in_child([limit] {
     VirtualCluster cluster;
     BodyLog log;
     add_bodies(cluster, log, 8);
     MapTableFiller filler;
     if (!filler.fill_to(limit - 9)) return kSetupFailed;
-    return expect_clean_failure(cluster, log, "fiber guard page mprotect failed", 4);
+    try {
+      cluster.run();
+    } catch (const std::exception&) {
+      return kWrongError;
+    }
+    if (log.started() != 8) return kWrongStartCount;
+    if (log.ended() != 8) return kBodiesNotUnwound;
+    return kOk;
   });
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == kOk) << describe(status);
+}
+
+/// Writes every byte of the `bytes` below this call's frame, top down, as
+/// a runaway recursion would, so no word on the way is skipped. The
+/// writes start 512 bytes down, clear of this frame and the x86-64 red
+/// zone, and the loop calls nothing.
+[[gnu::noinline]] void overrun_stack(std::size_t bytes) {
+  const auto start = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0)) - 512;
+  for (std::size_t i = 0; i < bytes; ++i) *reinterpret_cast<volatile char*>(start - i) = 0x5a;
+}
+
+TEST(FiberLimits, OverrunCanaryStackAbortsNamingTheProcess) {
+  // Two processes on canary stacks; process 1, whose stack lies above
+  // process 0's in the reservation, writes a stack's length down from
+  // its frame: past its canary into the untouched page below, and from
+  // there at most into process 0's stack. Its next switch back finds the
+  // canary overwritten, and the program aborts rather than unwind.
+  const long limit = max_map_count();
+  ASSERT_GT(limit, 0) << "cannot read /proc/sys/vm/max_map_count";
+  if (const char* why = map_table_unfillable(limit)) GTEST_SKIP() << why;
+  std::string diagnosis;
+  const int status = run_in_child(
+      [limit] {
+        const rlimit no_core{0, 0};
+        ::setrlimit(RLIMIT_CORE, &no_core);
+        VirtualCluster cluster;
+        cluster.add_process(0, [](SimContext& ctx) { ctx.advance(1.0); });
+        cluster.add_process(1, [](SimContext& ctx) {
+          overrun_stack(thread_stack_bytes());
+          ctx.advance(1.0);
+        });
+        MapTableFiller filler;
+        if (!filler.fill_to(limit - 3)) return kSetupFailed;
+        try {
+          cluster.run();
+        } catch (const std::exception&) {
+          return kWrongError;
+        }
+        return kOk;
+      },
+      &diagnosis);
+  EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT)
+      << describe(status) << "; stderr: " << diagnosis;
+  EXPECT_NE(diagnosis.find("fiber stack overflow: process 1 "), std::string::npos) << diagnosis;
 }
 
 TEST(FiberLimits, StackMapFailureUnwindsExactlyTheMappedBodies) {

@@ -1,9 +1,16 @@
 // Virtual-time executor tests: deterministic ordering, time semantics,
-// message latency, deadlock detection, error propagation, teardown.
+// message latency, deadlock detection, error propagation, teardown, and
+// fiber stacks recycled across runs.
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cfenv>
+#include <cstdint>
 #include <exception>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -313,16 +320,59 @@ int deep_frames(SimContext& ctx, int depth) {
 }
 
 TEST(VirtualCluster, BodiesGetThreadSizedStacks) {
-  // 2 MiB of frames, suspended at the bottom while the other proc runs.
-  VirtualCluster cluster;
-  std::vector<int> sums(2, -1);
-  for (int p = 0; p < 2; ++p) {
-    cluster.add_process(p, [&, p](SimContext& ctx) {
-      sums[static_cast<std::size_t>(p)] = deep_frames(ctx, 512);
-    });
+  // 2 MiB of frames, suspended at the bottom while the other proc runs;
+  // the second run does it on the stacks the first gave back.
+  for (int run = 0; run < 2; ++run) {
+    VirtualCluster cluster;
+    std::vector<int> sums(2, -1);
+    for (int p = 0; p < 2; ++p) {
+      cluster.add_process(p, [&, p](SimContext& ctx) {
+        sums[static_cast<std::size_t>(p)] = deep_frames(ctx, 512);
+      });
+    }
+    cluster.run();
+    EXPECT_EQ(sums, (std::vector<int>{513, 513})) << "run " << run;
   }
-  cluster.run();
-  EXPECT_EQ(sums, (std::vector<int>{513, 513}));
+}
+
+TEST(VirtualCluster, SecondRunOfTheSameSizeMapsNoNewStack) {
+  // Stacks go back to a pool when their bodies return, and the next run
+  // takes them from there. The bodies are identical, so each one's frame
+  // sits at the same depth below its stack's top: on the first run's
+  // stacks the second run's frames fall at exactly the first run's
+  // addresses. Between the runs, every page holding a first-run frame
+  // must still be mapped; one that is not is taken, so that no stack
+  // mapped afresh can land there and pass for a recycled one.
+  constexpr int kProcs = 16;
+  auto frames_of_a_run = [] {
+    std::vector<std::uintptr_t> frames;
+    VirtualCluster cluster;
+    for (int p = 0; p < kProcs; ++p) {
+      cluster.add_process(p, [&frames](SimContext& ctx) {
+        frames.push_back(reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0)));
+        ctx.advance(1.0);
+      });
+    }
+    cluster.run();
+    std::sort(frames.begin(), frames.end());
+    return frames;
+  };
+  const std::vector<std::uintptr_t> first = frames_of_a_run();
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  std::vector<void*> unmapped;
+  for (const std::uintptr_t frame : first) {
+    auto* want = reinterpret_cast<void*>(frame & ~(page - 1));
+    void* got =
+        ::mmap(want, page, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED_NOREPLACE, -1, 0);
+    if (got == want) unmapped.push_back(got);
+    if (got != MAP_FAILED && got != want) ::munmap(got, page);
+  }
+  const std::vector<std::uintptr_t> second = frames_of_a_run();
+  for (void* taken : unmapped) ::munmap(taken, page);
+  ASSERT_EQ(first.size(), static_cast<std::size_t>(kProcs));
+  EXPECT_EQ(std::set<std::uintptr_t>(first.begin(), first.end()).size(), first.size());
+  EXPECT_TRUE(unmapped.empty()) << unmapped.size() << " first-run stacks were unmapped";
+  EXPECT_EQ(second, first);
 }
 
 TEST(VirtualCluster, MessageToFinishedProcessIsDropped) {
