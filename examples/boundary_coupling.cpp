@@ -40,8 +40,7 @@ constexpr double kDt = 0.2;
 /// peer's strip, and use it as extra forcing along the shared edge.
 void run_domain(CouplingRuntime& rt, runtime::ProcessContext& ctx,
                 const BlockDecomposition& layout, const BlockDecomposition& strip_layout,
-                bool is_left, int steps, double source_heat,
-                std::vector<double>* edge_heat_series) {
+                bool is_left, int steps, double source_heat) {
   rt.define_export_region("state", layout);
   rt.define_import_region(is_left ? "east_in" : "west_in", strip_layout);
   rt.commit();
@@ -106,7 +105,7 @@ void run_domain(CouplingRuntime& rt, runtime::ProcessContext& ctx,
       }
     }
     edge = comm.all_reduce_one(edge, collectives::Sum{});
-    if (rt.rank() == 0 && edge_heat_series) edge_heat_series->push_back(edge);
+    if (rt.rank() == 0) rt.publish("edge_heat", edge);
   }
   rt.finalize();
 }
@@ -138,15 +137,15 @@ int main(int argc, char** argv) {
   const auto left_strip = BlockDecomposition::make_row_blocks(kN, kStrip, 2);
   const auto right_strip = BlockDecomposition::make_row_blocks(kN, kStrip, 3);
 
-  std::vector<double> left_edge, right_edge;
   system.set_program_body("left", [&](CouplingRuntime& rt, runtime::ProcessContext& ctx) {
-    run_domain(rt, ctx, left_layout, left_strip, /*is_left=*/true, steps, /*source=*/5.0,
-               &left_edge);
+    run_domain(rt, ctx, left_layout, left_strip, /*is_left=*/true, steps, /*source=*/5.0);
   });
   system.set_program_body("right", [&](CouplingRuntime& rt, runtime::ProcessContext& ctx) {
-    run_domain(rt, ctx, right_layout, right_strip, /*is_left=*/false, steps, 0.0, &right_edge);
+    run_domain(rt, ctx, right_layout, right_strip, /*is_left=*/false, steps, 0.0);
   });
   system.run();
+  const std::vector<double>& left_edge = system.proc_stats("left", 0).series("edge_heat");
+  const std::vector<double>& right_edge = system.proc_stats("right", 0).series("edge_heat");
 
   std::printf("== shared-boundary coupling (two %lldx%lld heat domains, %lld-wide strips) ==\n",
               static_cast<long long>(kN), static_cast<long long>(kN),

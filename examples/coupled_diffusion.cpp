@@ -74,7 +74,6 @@ int main(int argc, char** argv) {
     rt.finalize();
   });
 
-  std::vector<double> energy_series;
   system.set_program_body("U", [&](CouplingRuntime& rt, runtime::ProcessContext& ctx) {
     rt.define_import_region("f", u_layout);
     rt.commit();
@@ -89,12 +88,13 @@ int main(int argc, char** argv) {
       CCF_CHECK(status.ok(), "forcing import failed at t=" << t);
       solver.step(ctx, forcing);
       const double energy = comm.all_reduce_one(solver.local_energy(), collectives::Sum{});
-      if (rt.rank() == 0) energy_series.push_back(energy);
+      if (rt.rank() == 0) rt.publish("energy", energy);
     }
     rt.finalize();
   });
 
   system.run();
+  const std::vector<double>& energy_series = system.proc_stats("U", 0).series("energy");
 
   std::printf("== coupled diffusion/wave run ==\n");
   std::printf("grid %lldx%lld, U: %d procs (dt=%.2f), F: %d procs (dt=%.3f, %dx finer)\n",

@@ -73,14 +73,6 @@ int main(int argc, char** argv) {
     rt.finalize();
   });
 
-  struct Sample {
-    double wanted;
-    bool matched;
-    double version;
-    double injector_p;
-    double producer_p;
-  };
-  std::vector<Sample> samples;
   system.set_program_body("analysis", [&](CouplingRuntime& rt, runtime::ProcessContext& ctx) {
     rt.define_import_region("pressure", mon_layout);
     rt.commit();
@@ -108,26 +100,33 @@ int main(int argc, char** argv) {
       inj = comm.all_reduce_one(inj, collectives::Sum{});
       prod = comm.all_reduce_one(prod, collectives::Sum{});
       if (rt.rank() == 0) {
-        samples.push_back(Sample{want, st.ok(), st.ok() ? st.matched : 0.0, inj / 16, prod / 16});
+        rt.publish("wanted", want);
+        rt.publish("matched", st.ok() ? 1.0 : 0.0);
+        rt.publish("version", st.ok() ? st.matched : 0.0);
+        rt.publish("injector_p", inj / 16);
+        rt.publish("producer_p", prod / 16);
       }
     }
     rt.finalize();
   });
 
   system.run();
+  const core::ProcStats& monitor = system.proc_stats("analysis", 0);
+  const std::vector<double>& wanted = monitor.series("wanted");
 
   std::printf("== reservoir + detached analysis ==\n");
   std::printf("reservoir: %lldx%lld pressure field, %d steps of dt=%.1f; monitor samples\n"
               "at irregular instants with REG tolerance 1.2 (sparse coupling)\n\n",
               static_cast<long long>(kN), static_cast<long long>(kN), steps, kDt);
   std::printf("  wanted t   result      version   mean p(injector)  mean p(producer)\n");
-  for (const auto& s : samples) {
-    if (s.matched) {
-      std::printf("  %8.2f   matched    %8.2f   %15.4f   %15.4f\n", s.wanted, s.version,
-                  s.injector_p, s.producer_p);
+  for (std::size_t i = 0; i < wanted.size(); ++i) {
+    if (monitor.series("matched")[i] != 0) {
+      std::printf("  %8.2f   matched    %8.2f   %15.4f   %15.4f\n", wanted[i],
+                  monitor.series("version")[i], monitor.series("injector_p")[i],
+                  monitor.series("producer_p")[i]);
     } else {
       std::printf("  %8.2f   NO MATCH (simulation never produced a version this close)\n",
-                  s.wanted);
+                  wanted[i]);
     }
   }
   std::printf("\n");

@@ -109,7 +109,6 @@ int main(int argc, char** argv) {
   });
 
   // --- ionosphere: wave solver forced by the energy density, coarsest -------
-  std::vector<double> iono_energy;
   system.set_program_body("ionosphere", [&](CouplingRuntime& rt, runtime::ProcessContext& ctx) {
     rt.define_import_region("energy", iono_layout);
     rt.commit();
@@ -124,12 +123,13 @@ int main(int argc, char** argv) {
       solver.step(ctx, forcing);
       ctx.compute(2e-4);
       const double e = comm.all_reduce_one(solver.local_energy(), collectives::Sum{});
-      if (rt.rank() == 0) iono_energy.push_back(e);
+      if (rt.rank() == 0) rt.publish("energy", e);
     }
     rt.finalize();
   });
 
   system.run();
+  const std::vector<double>& iono_energy = system.proc_stats("ionosphere", 0).series("energy");
 
   std::printf("== space-weather pipeline ==\n");
   std::printf("grid %lldx%lld; cadences: solarwind dt=%.3f, magnetosphere dt=%.2f, "

@@ -19,21 +19,8 @@ void BufferPool::attach_memory(mem::MemoryGovernor* governor, mem::SpillStore* s
   spill_ = spill;
 }
 
-void BufferPool::set_arena_limits(std::size_t max_frames, std::size_t max_bytes) {
-  arena_max_frames_ = max_frames;
-  arena_max_bytes_ = max_bytes;
-  // Shrink an already-parked surplus (limits may tighten mid-run).
-  while (arena_.size() > arena_max_frames_ ||
-         (arena_max_bytes_ > 0 && arena_bytes_ > arena_max_bytes_)) {
-    arena_bytes_ -= arena_.back().capacity;
-    arena_.pop_back();
-  }
-}
-
 void BufferPool::park_frame(SnapshotFrame frame) {
-  if (arena_.size() >= arena_max_frames_) return;
-  if (arena_max_bytes_ > 0 && arena_bytes_ + frame.capacity > arena_max_bytes_) return;
-  arena_bytes_ += frame.capacity;
+  if (arena_.size() >= kArenaCapacity) return;
   arena_.push_back(std::move(frame));
 }
 
@@ -48,7 +35,6 @@ std::shared_ptr<BufferPool::SnapshotFrame> BufferPool::acquire_frame(std::size_t
   }
   if (best != arena_.end()) {
     auto frame = std::make_shared<SnapshotFrame>(std::move(*best));
-    arena_bytes_ -= frame->capacity;
     arena_.erase(best);
     frame->size = frame_bytes;
     ++stats_.arena_reuses;

@@ -139,12 +139,7 @@ class BufferPool {
   /// demotions through `spill` (may be null). Call before the first store.
   void attach_memory(mem::MemoryGovernor* governor, mem::SpillStore* spill);
 
-  /// Caps the recycling arena at `max_frames` parked frames and (when
-  /// `max_bytes` > 0) `max_bytes` parked bytes.
-  void set_arena_limits(std::size_t max_frames, std::size_t max_bytes);
-
   std::size_t arena_frames() const { return arena_.size(); }
-  std::size_t arena_bytes() const { return arena_bytes_; }
 
   bool can_spill() const { return spill_ != nullptr; }
   bool is_spilled(Timestamp t) const;
@@ -193,8 +188,7 @@ class BufferPool {
     mem::SpillStore::Ticket ticket;  ///< valid only while frame is null
   };
 
-  /// Default cap on frames parked on the free list awaiting reuse
-  /// (overridable via set_arena_limits / MemoryOptions::arena_capacity).
+  /// Cap on frames parked on the free list awaiting reuse.
   static constexpr std::size_t kArenaCapacity = 8;
 
   std::shared_ptr<SnapshotFrame> acquire_frame(std::size_t frame_bytes);
@@ -203,9 +197,6 @@ class BufferPool {
 
   std::map<Timestamp, Entry> entries_;
   std::vector<SnapshotFrame> arena_;
-  std::size_t arena_bytes_ = 0;  ///< capacity bytes parked across arena_
-  std::size_t arena_max_frames_ = kArenaCapacity;
-  std::size_t arena_max_bytes_ = 0;  ///< 0 = no byte cap
   mem::MemoryGovernor* governor_ = nullptr;
   mem::SpillStore* spill_ = nullptr;
   BufferStats stats_;

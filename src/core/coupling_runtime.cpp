@@ -152,17 +152,16 @@ void CouplingRuntime::commit() {
         absorb_meta(*maybe);
         continue;
       }
-      if (++retries > options_.max_retries) {
+      if (++retries > kMaxRetries) {
         throw util::TimeoutError("commit(): no region-geometry broadcast after " +
                                  std::to_string(retries - 1) + " retries at process " +
                                  std::to_string(ctx_.id()));
       }
-      ++ft_.commit_retries;
+      ++counters_.ft.commit_retries;
       maybe_reparent();
       if (rank_ == 0) send_up_all(ctx_, route_, kTagRegionDefs, defs_payload);
       send_up_all(ctx_, route_, kTagMetaNudge, transport::empty_payload());
-      timeout = std::min(timeout * options_.retry_backoff_factor,
-                         options_.backoff_cap_seconds());
+      timeout = std::min(timeout * kRetryBackoffFactor, options_.backoff_cap_seconds());
     }
   }
 
@@ -241,7 +240,7 @@ void CouplingRuntime::signal_pressure() {
   sent_pressure_level_ = level;
   const PressureMsg msg{0, static_cast<std::uint8_t>(level ? 1 : 0)};
   send_up_all(ctx_, route_, kTagProcPressure, msg.encode());
-  ++pressure_signals_;
+  ++counters_.pressure_signals;
 }
 
 void CouplingRuntime::stash_answer(const AnswerMsg& answer) {
@@ -251,14 +250,14 @@ void CouplingRuntime::stash_answer(const AnswerMsg& answer) {
     if (answer.seq < region.next_wait_seq) {
       // Answer to a request already completed: a fabric duplicate or the
       // answer to a retry whose original got through after all.
-      ++ft_.stale_answers;
+      ++counters_.ft.stale_answers;
       return;
     }
     break;
   }
   auto [it, fresh] = stashed_answers_[conn_id].emplace(answer.seq, answer);
   (void)it;
-  if (!fresh) ++ft_.stale_answers;
+  if (!fresh) ++counters_.ft.stale_answers;
 }
 
 AnswerMsg CouplingRuntime::await_answer(ImportRegion& region, std::uint32_t seq,
@@ -292,18 +291,17 @@ AnswerMsg CouplingRuntime::await_answer(ImportRegion& region, std::uint32_t seq,
         // the exporter is just slow). Re-sending is idempotent end to end:
         // reps and workers replay cached answers, so every rank may retry
         // — which also covers the loss of rank 0's original request.
-        if (++retries > options_.max_retries) {
+        if (++retries > kMaxRetries) {
           throw util::TimeoutError("import on connection " + std::to_string(conn_id) +
                                    " seq " + std::to_string(seq) + ": no answer after " +
                                    std::to_string(retries - 1) + " retries at process " +
                                    std::to_string(ctx_.id()));
         }
-        ++ft_.request_retries;
+        ++counters_.ft.request_retries;
         maybe_reparent();
         RequestMsg req{static_cast<std::uint32_t>(conn_id), seq, requested};
         ctx_.send(route_.up_conn(conn_id), kTagImportRequest, req.encode());
-        timeout = std::min(timeout * options_.retry_backoff_factor,
-                           options_.backoff_cap_seconds());
+        timeout = std::min(timeout * kRetryBackoffFactor, options_.backoff_cap_seconds());
         continue;
       }
     }
@@ -355,14 +353,14 @@ void CouplingRuntime::handle_control(const Message& m) {
       break;
     }
     case kTagRepHeartbeat:
-      ++ft_.heartbeats;
+      ++counters_.ft.heartbeats;
       break;
     case kTagPressureBcast: {
       // The exporter side of one of our import connections crossed a
       // buffer watermark: remember the level so import_request throttles
       // (or stops throttling) on that connection.
       const PressureMsg msg = PressureMsg::decode(m.payload);
-      ++pressure_notices_;
+      ++counters_.pressure_notices;
       if (msg.level != 0) {
         pressured_conns_.insert(static_cast<int>(msg.conn));
       } else {
@@ -419,7 +417,7 @@ void CouplingRuntime::maybe_reparent() {
   // and announce the switch; any plain own-proc message makes the rep mark
   // this rank direct, so the nudge doubles as that announcement.
   route_.has_parent = false;
-  ++ft_.reparents;
+  ++counters_.ft.reparents;
   for (int s = 0; s < route_.shards; ++s) {
     ctx_.send(route_.base + s, kTagMetaNudge, transport::empty_payload());
   }
@@ -659,12 +657,12 @@ void CouplingRuntime::finalize() {
         maybe_reparent();
         if (options_.departure_timeout_seconds > 0 &&
             ctx_.now() - last_rep_seen_ > options_.departure_timeout_seconds) {
-          ft_.rep_departed = true;
+          counters_.ft.rep_departed = true;
           break;
         }
-        ++ft_.conn_done_retries;
+        ++counters_.ft.conn_done_retries;
         send_conn_done();
-        tick = std::min(tick * options_.retry_backoff_factor, options_.backoff_cap_seconds());
+        tick = std::min(tick * kRetryBackoffFactor, options_.backoff_cap_seconds());
         continue;
       }
       last_rep_seen_ = ctx_.now();
@@ -675,11 +673,17 @@ void CouplingRuntime::finalize() {
       handle_control(*m);
     }
   }
-  finished_at_ = ctx_.now();
+  counters_.finished_at = ctx_.now();
+}
+
+void CouplingRuntime::publish(const std::string& name, double value) {
+  published_[name].push_back(value);
 }
 
 ProcStats CouplingRuntime::stats_snapshot() const {
   ProcStats stats;
+  static_cast<ProcCounters&>(stats) = counters_;
+  if (governor_ != nullptr) stats.governor = governor_->stats();
   for (const auto& [name, region] : export_regions_) {
     if (region.state) {
       stats.exports.push_back(region.state->stats_snapshot());
@@ -691,24 +695,8 @@ ProcStats CouplingRuntime::stats_snapshot() const {
     }
   }
   for (const auto& [name, region] : import_regions_) stats.imports.push_back(region.stats);
-  stats.ft = ft_;
-  stats.finished_at = finished_at_;
-  if (governor_ != nullptr) stats.governor = governor_->stats();
-  stats.pressure_signals = pressure_signals_;
-  stats.pressure_notices = pressure_notices_;
+  stats.published = published_;
   return stats;
-}
-
-std::string CouplingRuntime::trace_listing(const std::string& region) const {
-  auto it = export_regions_.find(region);
-  if (it == export_regions_.end() || !it->second.state) return "";
-  return it->second.state->trace().listing();
-}
-
-std::vector<TraceEvent> CouplingRuntime::trace_events(const std::string& region) const {
-  auto it = export_regions_.find(region);
-  if (it == export_regions_.end() || !it->second.state) return {};
-  return it->second.state->trace().events();
 }
 
 }  // namespace ccf::core

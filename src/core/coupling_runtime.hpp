@@ -93,17 +93,15 @@ class CouplingRuntime {
   int rank() const { return rank_; }
   const std::string& program() const { return program_; }
 
-  /// Per-process statistics (valid any time; complete after finalize()).
+  /// Appends `value` to the series `name` in this process's stats
+  /// (ProcStats::published). App results a body computes reach the harness
+  /// this way in every execution mode; a forked body's writes to captured
+  /// variables stay in the child.
+  void publish(const std::string& name, double value);
+
+  /// Per-process statistics, trace events included (valid any time;
+  /// complete after finalize()).
   ProcStats stats_snapshot() const;
-
-  /// Event-trace listing for an exported region ("" if tracing is off or
-  /// the region is unconnected).
-  std::string trace_listing(const std::string& region) const;
-
-  /// Structured trace events of an exported region (empty if tracing is
-  /// off or the region is unconnected). The model-checking conformance
-  /// checker consumes these instead of parsing listings.
-  std::vector<TraceEvent> trace_events(const std::string& region) const;
 
  private:
   struct ExportRegion {
@@ -175,15 +173,13 @@ class CouplingRuntime {
   /// Answers parked per connection, keyed by request seq (the fabric may
   /// deliver them out of order; import_wait consumes them in issue order).
   std::map<int, std::map<std::uint32_t, AnswerMsg>> stashed_answers_;
-  FaultToleranceStats ft_;
+  ProcCounters counters_;  ///< governor filled in by stats_snapshot()
+  std::map<std::string, std::vector<double>> published_;
   double last_rep_seen_ = 0;  ///< ctx.now() of the last message from the rep
-  double finished_at_ = 0;
 
   // Buffer governance (src/mem; both null with the default MemoryOptions).
   std::unique_ptr<mem::MemoryGovernor> governor_;
   std::unique_ptr<mem::SpillStore> spill_;
-  std::uint64_t pressure_signals_ = 0;
-  std::uint64_t pressure_notices_ = 0;
   /// Last process-level pressure state signalled to the rep: the OR of
   /// the governor's level and the transport's egress congestion. With the
   /// modeled fabrics transport pressure is constant false, making this

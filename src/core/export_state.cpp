@@ -17,9 +17,8 @@ ExportRegionState::ExportRegionState(std::string region_name, dist::Box local_bo
       local_box_(local_box),
       options_(options),
       route_(route),
-      trace_("D", options.trace, options.trace_max_events) {
+      trace_(kTracedObject, options.trace, options.trace_max_events) {
   stats_.region = name_;
-  pool_.set_arena_limits(options.memory.arena_capacity, options.memory.arena_max_bytes);
   conns_.reserve(conns.size());
   for (auto& cfg : conns) {
     CCF_REQUIRE(cfg.conn_id >= 0 && cfg.conn_id < 32, "connection id out of mask range");
@@ -198,7 +197,7 @@ void ExportRegionState::send_data(Conn& conn, std::uint32_t seq, Timestamp match
   const BufferPool::SnapshotView snapshot = pool_.snapshot(match);
   dist::execute_sends_packed(ctx, conn.cfg.schedule, conn.cfg.importer_procs,
                              data_tag(conn.cfg.conn_id, seq), local_box_, snapshot.data(),
-                             &xfer_, pool_.wire_payload(match));
+                             &stats_, pool_.wire_payload(match));
   ++stats_.transfers;
   trace_.emit(TraceKind::SendData, ctx.now(), match);
 }

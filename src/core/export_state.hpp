@@ -33,7 +33,6 @@
 #include "core/stats.hpp"
 #include "core/trace.hpp"
 #include "dist/schedule.hpp"
-#include "dist/transfer_stats.hpp"
 #include "mem/eviction.hpp"
 #include "runtime/process_context.hpp"
 
@@ -132,19 +131,17 @@ class ExportRegionState {
 
   const std::string& region_name() const { return name_; }
 
-  /// Stats with the buffer-pool, data-plane, and matcher counters folded in.
+  /// Stats with the buffer-pool and matcher counters and the recorded
+  /// trace events folded in.
   ExportRegionStats stats_snapshot() const {
     ExportRegionStats s = stats_;
     s.buffer = pool_.stats();
-    s.bytes_delivered = xfer_.bytes_delivered;
-    s.bytes_pack_copied = xfer_.bytes_pack_copied;
-    s.sends_aliased = xfer_.sends_aliased;
-    s.sends_packed = xfer_.sends_packed;
     for (const auto& c : conns_) {
       const ExportHistory::EvalCounters& ec = c.history.eval_counters();
       s.matcher_evaluations += ec.evaluations;
       s.matcher_pending += ec.pending;
     }
+    s.trace_events = trace_.events();
     return s;
   }
 
@@ -217,8 +214,7 @@ class ExportRegionState {
   FrameworkOptions options_;
   const ControlRoute& route_;
   BufferPool pool_;
-  ExportRegionStats stats_;
-  dist::TransferStats xfer_;  ///< data-plane copy accounting across all sends
+  ExportRegionStats stats_;  ///< its TransferStats base counts every send
   Trace trace_;
 };
 

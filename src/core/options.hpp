@@ -36,19 +36,18 @@ struct MemoryOptions {
   /// 0 = pressure notices are recorded but do not throttle.
   double importer_throttle_seconds = 0;
 
-  /// Max frames parked on the BufferPool free-list arena awaiting reuse
-  /// (the PR 3 recycling arena). Frames beyond the cap are released to
-  /// the heap instead of parked.
-  std::size_t arena_capacity = 8;
-
-  /// Byte cap across all parked arena frames; 0 = no byte cap. Bounds the
-  /// arena across phase changes, where snapshot sizes grow and best-fit
-  /// would otherwise accumulate the largest frames forever.
-  std::size_t arena_max_bytes = 0;
-
   /// True when the budget (and with it the governor) is active.
   bool governed() const { return budget_bytes > 0; }
 };
+
+/// Failure-tolerant waits (FrameworkOptions::retry_timeout_seconds > 0):
+/// each successive retry waits this factor longer, up to
+/// FrameworkOptions::backoff_cap_seconds().
+inline constexpr double kRetryBackoffFactor = 2.0;
+
+/// Retries per blocking wait before giving up with util::TimeoutError; the
+/// reps' resend loops presume delivery after as many.
+inline constexpr int kMaxRetries = 64;
 
 struct FrameworkOptions {
   /// The paper's optimization (§4.1). When the rep answers a request from
@@ -65,8 +64,7 @@ struct FrameworkOptions {
   std::size_t trace_max_events = 1 << 20;
 
   /// Buffer governance: the memory budget (finite buffer space),
-  /// watermarks, spill tier, backpressure throttle, and arena caps. All
-  /// off by default.
+  /// watermarks, spill tier and backpressure throttle. All off by default.
   MemoryOptions memory;
 
   /// Modeled dispatch cost charged by rep shards and sub-reps per unit of
@@ -100,15 +98,6 @@ struct FrameworkOptions {
   /// (plain blocking receives).
   double retry_timeout_seconds = 0;
 
-  /// Exponential backoff: each successive retry waits `backoff_factor`
-  /// times longer, capped at `retry_backoff_max_seconds` (0 = cap at
-  /// 16x the base timeout).
-  double retry_backoff_factor = 2.0;
-  double retry_backoff_max_seconds = 0;
-
-  /// Retries per blocking wait before giving up with util::TimeoutError.
-  int max_retries = 64;
-
   /// Reps emit a heartbeat to their own procs every interval while idle,
   /// so workers in timeout loops can distinguish "rep is slow" from "rep
   /// is gone". 0 disables heartbeats.
@@ -129,11 +118,8 @@ struct FrameworkOptions {
   /// True when the retry/liveness machinery is active.
   bool failure_tolerance() const { return retry_timeout_seconds > 0; }
 
-  /// Effective backoff cap (resolves the 0 = "16x base" default).
-  double backoff_cap_seconds() const {
-    return retry_backoff_max_seconds > 0 ? retry_backoff_max_seconds
-                                         : 16 * retry_timeout_seconds;
-  }
+  /// Cap on the exponential retry backoff (kRetryBackoffFactor).
+  double backoff_cap_seconds() const { return 16 * retry_timeout_seconds; }
 };
 
 }  // namespace ccf::core

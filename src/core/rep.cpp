@@ -66,7 +66,7 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
   // finishing early would otherwise kill the rep mid-recovery and strand a
   // worker whose broadcast was dropped in an unanswerable commit() retry
   // loop. Un-acked workers are re-broadcast to on heartbeat ticks; after
-  // max_retries delivery is presumed (termination stays guaranteed).
+  // kMaxRetries delivery is presumed (termination stays guaranteed).
   std::set<ProcId> meta_acked;
   std::map<ProcId, int> meta_resends;
   // The rep-to-rep geometry shipment needs the same treatment: a peer
@@ -94,7 +94,7 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
   // piece, wedging the importer's transfer even though the collective
   // answer was decided by the other ranks. In failure-tolerant mode the
   // rep re-forwards to exactly the silent ranks on heartbeat ticks and
-  // refuses to shut down while any remain (bounded by max_retries).
+  // refuses to shut down while any remain (bounded by kMaxRetries).
   std::map<std::pair<int, std::uint32_t>, int> forward_resends;
   std::set<std::pair<int, std::uint32_t>> forward_abandoned;
   auto silent_ranks_remain = [&] {
@@ -516,13 +516,13 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
         down.bcast(kTagRepHeartbeat, transport::empty_payload());
         ++result.heartbeats_sent;
         // Re-send un-acked ConnFinished notifications on the same tick;
-        // after max_retries presume delivery (the odds of that many
+        // after kMaxRetries presume delivery (the odds of that many
         // independent losses are negligible) so shutdown always completes.
         if (reliable_finish) {
           if (meta_broadcast && static_cast<int>(meta_acked.size()) < pl.nprocs) {
             for (ProcId proc : pl.proc_ids()) {
               if (meta_acked.count(proc)) continue;
-              if (++meta_resends[proc] > options.max_retries) {
+              if (++meta_resends[proc] > kMaxRetries) {
                 meta_acked.insert(proc);
                 continue;
               }
@@ -534,7 +534,7 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
           if (defs_received && peer_meta_acked.size() < participated) {
             for (int conn : export_conns) {
               if (peer_meta_acked.count(conn)) continue;
-              if (++peer_meta_resends[conn] > options.max_retries) {
+              if (++peer_meta_resends[conn] > kMaxRetries) {
                 peer_meta_acked.insert(conn);
                 continue;
               }
@@ -543,7 +543,7 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
             }
             for (int conn : import_conns) {
               if (peer_meta_acked.count(conn)) continue;
-              if (++peer_meta_resends[conn] > options.max_retries) {
+              if (++peer_meta_resends[conn] > kMaxRetries) {
                 peer_meta_acked.insert(conn);
                 continue;
               }
@@ -553,7 +553,7 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
           }
           for (int conn : import_conns_done) {
             if (conn_finished_acked.count(conn)) continue;
-            if (++conn_finished_resends[conn] > options.max_retries) {
+            if (++conn_finished_resends[conn] > kMaxRetries) {
               conn_finished_acked.insert(conn);
               continue;
             }
@@ -564,7 +564,7 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
             for (const auto& u : agg.unresponsive_ranks()) {
               const std::pair<int, std::uint32_t> key{conn, u.request.seq};
               if (forward_abandoned.count(key)) continue;
-              if (++forward_resends[key] > options.max_retries) {
+              if (++forward_resends[key] > kMaxRetries) {
                 forward_abandoned.insert(key);
                 continue;
               }

@@ -21,7 +21,8 @@
 
 namespace ccf::core {
 
-struct RepResult {
+/// Fixed rep-shard counters; shards fold with sum_counters (core/stats.hpp).
+struct RepCounters {
   std::uint64_t requests_forwarded = 0;
   std::uint64_t answers_sent = 0;
   std::uint64_t buddy_helps_sent = 0;
@@ -46,7 +47,9 @@ struct RepResult {
   std::uint64_t frame_entries_in = 0;    ///< entries unpacked from up-frames
   std::uint64_t frames_out = 0;          ///< batched down-frames emitted
   std::uint64_t frame_entries_out = 0;   ///< entries packed into down-frames
+};
 
+struct RepResult : RepCounters {
   /// Observation hook: every collective answer determined on exported
   /// connections, ordered by (connection, determination order). The model-
   /// checking conformance checker compares this against the oracle.

@@ -1,6 +1,5 @@
 #include "core/result_codec.hpp"
 
-#include <type_traits>
 #include <utility>
 
 #include "transport/serialize.hpp"
@@ -12,190 +11,95 @@ namespace {
 using transport::Reader;
 using transport::Writer;
 
-// Both sides are forks of the same binary, so POD aggregates are shipped
-// as raw bytes; anything with strings or nested vectors is walked field
-// by field.
-static_assert(std::is_trivially_copyable_v<BufferStats>);
-static_assert(std::is_trivially_copyable_v<FaultToleranceStats>);
-static_assert(std::is_trivially_copyable_v<mem::GovernorStats>);
-static_assert(std::is_trivially_copyable_v<TraceEvent>);
-static_assert(std::is_trivially_copyable_v<AnswerMsg>);
-static_assert(std::is_trivially_copyable_v<SubRepResult>);
+Reader reader_of(const std::vector<std::byte>& bytes) {
+  return Reader(transport::make_payload(std::vector<std::byte>(bytes)));
+}
 
-void put_export(Writer& w, const ExportRegionStats& e) {
+void put(Writer& w, const ExportRegionStats& e) {
+  w.put<ExportCounters>(e);
   w.put_string(e.region);
-  w.put(e.exports);
-  w.put(e.transfers);
-  w.put(e.buffer);
-  w.put(e.bytes_delivered);
-  w.put(e.bytes_pack_copied);
-  w.put(e.sends_aliased);
-  w.put(e.sends_packed);
   w.put_vector(e.export_seconds);
   w.put_vector(e.export_timestamps);
   w.put_vector(e.t_i);
-  w.put(e.buddy_helps_received);
-  w.put(e.local_decisions);
-  w.put(e.matcher_evaluations);
-  w.put(e.matcher_pending);
-  w.put(e.stalls);
-  w.put(e.stall_seconds);
-  w.put(e.duplicate_requests);
-  w.put(e.reordered_requests);
-  w.put(e.degraded_conns);
+  w.put_vector(e.trace_events);
 }
 
-ExportRegionStats get_export(Reader& r) {
-  ExportRegionStats e;
+void get(Reader& r, ExportRegionStats& e) {
+  static_cast<ExportCounters&>(e) = r.get<ExportCounters>();
   e.region = r.get_string();
-  e.exports = r.get<std::uint64_t>();
-  e.transfers = r.get<std::uint64_t>();
-  e.buffer = r.get<BufferStats>();
-  e.bytes_delivered = r.get<std::uint64_t>();
-  e.bytes_pack_copied = r.get<std::uint64_t>();
-  e.sends_aliased = r.get<std::uint64_t>();
-  e.sends_packed = r.get<std::uint64_t>();
   e.export_seconds = r.get_vector<double>();
   e.export_timestamps = r.get_vector<Timestamp>();
   e.t_i = r.get_vector<double>();
-  e.buddy_helps_received = r.get<std::uint64_t>();
-  e.local_decisions = r.get<std::uint64_t>();
-  e.matcher_evaluations = r.get<std::uint64_t>();
-  e.matcher_pending = r.get<std::uint64_t>();
-  e.stalls = r.get<std::uint64_t>();
-  e.stall_seconds = r.get<double>();
-  e.duplicate_requests = r.get<std::uint64_t>();
-  e.reordered_requests = r.get<std::uint64_t>();
-  e.degraded_conns = r.get<std::uint64_t>();
-  return e;
+  e.trace_events = r.get_vector<TraceEvent>();
 }
 
-void put_import(Writer& w, const ImportRegionStats& i) {
+void put(Writer& w, const ImportRegionStats& i) {
+  w.put<ImportCounters>(i);
   w.put_string(i.region);
-  w.put(i.imports);
-  w.put(i.matches);
-  w.put(i.no_matches);
   w.put_vector(i.import_seconds);
   w.put_vector(i.matched_timestamps);
-  w.put(i.pressure_throttles);
-  w.put(i.throttle_seconds);
 }
 
-ImportRegionStats get_import(Reader& r) {
-  ImportRegionStats i;
+void get(Reader& r, ImportRegionStats& i) {
+  static_cast<ImportCounters&>(i) = r.get<ImportCounters>();
   i.region = r.get_string();
-  i.imports = r.get<std::uint64_t>();
-  i.matches = r.get<std::uint64_t>();
-  i.no_matches = r.get<std::uint64_t>();
   i.import_seconds = r.get_vector<double>();
   i.matched_timestamps = r.get_vector<Timestamp>();
-  i.pressure_throttles = r.get<std::uint64_t>();
-  i.throttle_seconds = r.get<double>();
-  return i;
+}
+
+template <typename T>
+void put_list(Writer& w, const std::vector<T>& items) {
+  w.put<std::uint64_t>(items.size());
+  for (const T& item : items) put(w, item);
+}
+
+// No reserve: the count is trusted only as far as the bytes behind it,
+// and each element's read throws on underflow.
+template <typename T>
+void get_list(Reader& r, std::vector<T>& items) {
+  for (auto n = r.get<std::uint64_t>(); n > 0; --n) get(r, items.emplace_back());
 }
 
 }  // namespace
 
-std::vector<std::byte> encode_proc_result(
-    const ProcStats& stats, const std::map<std::string, std::string>& traces,
-    const std::map<std::string, std::vector<TraceEvent>>& events) {
+std::vector<std::byte> encode_proc_result(const ProcStats& stats) {
   Writer w;
-  w.put<std::uint64_t>(stats.exports.size());
-  for (const auto& e : stats.exports) put_export(w, e);
-  w.put<std::uint64_t>(stats.imports.size());
-  for (const auto& i : stats.imports) put_import(w, i);
-  w.put(stats.ft);
-  w.put(stats.finished_at);
-  w.put(stats.governor);
-  w.put(stats.pressure_signals);
-  w.put(stats.pressure_notices);
-  w.put<std::uint64_t>(traces.size());
-  for (const auto& [region, listing] : traces) {
-    w.put_string(region);
-    w.put_string(listing);
-  }
-  w.put<std::uint64_t>(events.size());
-  for (const auto& [region, list] : events) {
-    w.put_string(region);
-    w.put_vector(list);
+  w.put<ProcCounters>(stats);
+  put_list(w, stats.exports);
+  put_list(w, stats.imports);
+  w.put<std::uint64_t>(stats.published.size());
+  for (const auto& [name, values] : stats.published) {
+    w.put_string(name);
+    w.put_vector(values);
   }
   return w.take_bytes();
 }
 
-void decode_proc_result(const std::vector<std::byte>& bytes, ProcStats& stats,
-                        std::map<std::string, std::string>& traces,
-                        std::map<std::string, std::vector<TraceEvent>>& events) {
-  Reader r(transport::make_payload(std::vector<std::byte>(bytes)));
-  stats = ProcStats{};
-  const auto n_exports = r.get<std::uint64_t>();
-  stats.exports.reserve(static_cast<std::size_t>(n_exports));
-  for (std::uint64_t k = 0; k < n_exports; ++k) stats.exports.push_back(get_export(r));
-  const auto n_imports = r.get<std::uint64_t>();
-  stats.imports.reserve(static_cast<std::size_t>(n_imports));
-  for (std::uint64_t k = 0; k < n_imports; ++k) stats.imports.push_back(get_import(r));
-  stats.ft = r.get<FaultToleranceStats>();
-  stats.finished_at = r.get<double>();
-  stats.governor = r.get<mem::GovernorStats>();
-  stats.pressure_signals = r.get<std::uint64_t>();
-  stats.pressure_notices = r.get<std::uint64_t>();
-  traces.clear();
-  const auto n_traces = r.get<std::uint64_t>();
-  for (std::uint64_t k = 0; k < n_traces; ++k) {
-    std::string region = r.get_string();
-    traces[std::move(region)] = r.get_string();
-  }
-  events.clear();
-  const auto n_events = r.get<std::uint64_t>();
-  for (std::uint64_t k = 0; k < n_events; ++k) {
-    std::string region = r.get_string();
-    events[std::move(region)] = r.get_vector<TraceEvent>();
+ProcStats decode_proc_result(const std::vector<std::byte>& bytes) {
+  Reader r = reader_of(bytes);
+  ProcStats stats;
+  static_cast<ProcCounters&>(stats) = r.get<ProcCounters>();
+  get_list(r, stats.exports);
+  get_list(r, stats.imports);
+  for (auto n = r.get<std::uint64_t>(); n > 0; --n) {
+    std::string name = r.get_string();
+    stats.published[std::move(name)] = r.get_vector<double>();
   }
   CCF_CHECK(r.exhausted(), "trailing bytes in encoded process result");
+  return stats;
 }
 
 std::vector<std::byte> encode_rep_result(const RepResult& result) {
   Writer w;
-  w.put(result.requests_forwarded);
-  w.put(result.answers_sent);
-  w.put(result.buddy_helps_sent);
-  w.put(result.responses_received);
-  w.put(result.duplicates_ignored);
-  w.put(result.answers_resent);
-  w.put(result.heartbeats_sent);
-  w.put(result.meta_resends);
-  w.put(result.forward_resends);
-  w.put(result.pressure_signals);
-  w.put(result.pressure_notices);
-  w.put(result.pressure_broadcasts);
-  w.put(result.wire_in);
-  w.put(result.frames_in);
-  w.put(result.frame_entries_in);
-  w.put(result.frames_out);
-  w.put(result.frame_entries_out);
+  w.put<RepCounters>(result);
   w.put_vector(result.answers);
   return w.take_bytes();
 }
 
 RepResult decode_rep_result(const std::vector<std::byte>& bytes) {
-  Reader r(transport::make_payload(std::vector<std::byte>(bytes)));
+  Reader r = reader_of(bytes);
   RepResult out;
-  out.requests_forwarded = r.get<std::uint64_t>();
-  out.answers_sent = r.get<std::uint64_t>();
-  out.buddy_helps_sent = r.get<std::uint64_t>();
-  out.responses_received = r.get<std::uint64_t>();
-  out.duplicates_ignored = r.get<std::uint64_t>();
-  out.answers_resent = r.get<std::uint64_t>();
-  out.heartbeats_sent = r.get<std::uint64_t>();
-  out.meta_resends = r.get<std::uint64_t>();
-  out.forward_resends = r.get<std::uint64_t>();
-  out.pressure_signals = r.get<std::uint64_t>();
-  out.pressure_notices = r.get<std::uint64_t>();
-  out.pressure_broadcasts = r.get<std::uint64_t>();
-  out.wire_in = r.get<std::uint64_t>();
-  out.frames_in = r.get<std::uint64_t>();
-  out.frame_entries_in = r.get<std::uint64_t>();
-  out.frames_out = r.get<std::uint64_t>();
-  out.frame_entries_out = r.get<std::uint64_t>();
+  static_cast<RepCounters&>(out) = r.get<RepCounters>();
   out.answers = r.get_vector<AnswerMsg>();
   CCF_CHECK(r.exhausted(), "trailing bytes in encoded rep result");
   return out;
@@ -208,7 +112,7 @@ std::vector<std::byte> encode_subrep_result(const SubRepResult& result) {
 }
 
 SubRepResult decode_subrep_result(const std::vector<std::byte>& bytes) {
-  Reader r(transport::make_payload(std::vector<std::byte>(bytes)));
+  Reader r = reader_of(bytes);
   const auto out = r.get<SubRepResult>();
   CCF_CHECK(r.exhausted(), "trailing bytes in encoded sub-rep result");
   return out;

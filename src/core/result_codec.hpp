@@ -3,34 +3,27 @@
 // Under runtime::ProcessCluster the process bodies run in forked children,
 // so their writes into the launcher's result slots land in copy-on-write
 // memory. These codecs turn one slot's results into bytes in the child
-// (ResultChannel::encode) and apply them to the real slot in the launcher
+// (ResultChannel::encode) and back into the slot's value in the launcher
 // (ResultChannel::decode). In-process execution modes never use them —
 // the body's direct writes remain the canonical path.
 //
-// The encoding rides the same Writer/Reader as every wire payload; both
-// ends are forks of one binary, so trivially-copyable aggregates travel
-// as raw bytes.
+// Both ends are forks of one binary, so each stats struct's counter block
+// (core/stats.hpp) travels as raw bytes and each of its strings and series
+// as a length-prefixed vector, on the same Writer/Reader as every wire
+// payload. Truncated input and trailing bytes throw.
 #pragma once
 
 #include <cstddef>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "core/rep.hpp"
 #include "core/stats.hpp"
 #include "core/subrep.hpp"
-#include "core/trace.hpp"
 
 namespace ccf::core {
 
-std::vector<std::byte> encode_proc_result(
-    const ProcStats& stats, const std::map<std::string, std::string>& traces,
-    const std::map<std::string, std::vector<TraceEvent>>& events);
-
-void decode_proc_result(const std::vector<std::byte>& bytes, ProcStats& stats,
-                        std::map<std::string, std::string>& traces,
-                        std::map<std::string, std::vector<TraceEvent>>& events);
+std::vector<std::byte> encode_proc_result(const ProcStats& stats);
+ProcStats decode_proc_result(const std::vector<std::byte>& bytes);
 
 std::vector<std::byte> encode_rep_result(const RepResult& result);
 RepResult decode_rep_result(const std::vector<std::byte>& bytes);

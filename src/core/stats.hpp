@@ -4,56 +4,37 @@
 // the slowest exporter process; Eq.(1)/(2) need the per-request
 // unnecessary-buffering times T_i and their total T_ub. Stats objects are
 // owned by the harness (one slot per process) and filled in by the
-// process bodies, which run in the same address space in both execution
-// modes.
+// process bodies.
+//
+// Every stats struct is one trivially copyable block of fixed counters
+// (a public base, so its members read as the struct's own) plus its
+// variable-length series. A forked process ships each block as raw bytes
+// and each series as a vector (core/result_codec.hpp); counter blocks made
+// only of std::uint64_t fold with one rule, sum_counters.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/buffer_pool.hpp"
 #include "core/timestamp.hpp"
+#include "core/trace.hpp"
+#include "dist/transfer_stats.hpp"
 #include "mem/governor.hpp"
 
 namespace ccf::core {
 
-struct ExportRegionStats {
-  std::string region;
+/// Fixed counters of one exported region. The dist::TransferStats base is
+/// the data-plane copy accounting (docs/PERF.md) the region's sends fill in.
+struct ExportCounters : dist::TransferStats {
   std::uint64_t exports = 0;
   std::uint64_t transfers = 0;  ///< matched snapshots actually shipped
   BufferStats buffer;
-
-  // Data-plane copy accounting (dist::TransferStats, folded in by the
-  // exporter state; see docs/PERF.md).
-  std::uint64_t bytes_delivered = 0;    ///< payload element bytes shipped
-  std::uint64_t bytes_pack_copied = 0;  ///< extra pack-copy bytes (partial pieces)
-  std::uint64_t sends_aliased = 0;      ///< full-box sends aliasing the pooled frame
-  std::uint64_t sends_packed = 0;       ///< partial pieces packed into a wire frame
-
-  /// Extra copies per delivered byte beyond the snapshot memcpy and the
-  /// importer's final unpack: 0 when every send aliased the pooled frame,
-  /// 1 when every send was a packed partial piece.
-  double copies_per_delivered_byte() const {
-    if (bytes_delivered == 0) return 0.0;
-    return static_cast<double>(bytes_pack_copied) / static_cast<double>(bytes_delivered);
-  }
-
-  /// Duration of each export call (paper Fig. 4 y-axis), in ctx.now() secs.
-  std::vector<double> export_seconds;
-
-  /// Timestamp of each export, aligned with export_seconds.
-  std::vector<Timestamp> export_timestamps;
-
-  /// Per-request unnecessary buffering time T_i (Eq. 1), in request order.
-  std::vector<double> t_i;
-
-  /// Total unnecessary buffering time T_ub (Eq. 2).
-  double t_ub() const {
-    double s = 0;
-    for (double v : t_i) s += v;
-    return s;
-  }
 
   std::uint64_t buddy_helps_received = 0;
   std::uint64_t local_decisions = 0;  ///< requests this process decided itself
@@ -73,18 +54,46 @@ struct ExportRegionStats {
   std::uint64_t degraded_conns = 0;      ///< connections force-closed by stall timeout
 };
 
-struct ImportRegionStats {
+struct ExportRegionStats : ExportCounters {
   std::string region;
+
+  /// Duration of each export call (paper Fig. 4 y-axis), in ctx.now() secs.
+  std::vector<double> export_seconds;
+
+  /// Timestamp of each export, aligned with export_seconds.
+  std::vector<Timestamp> export_timestamps;
+
+  /// Per-request unnecessary buffering time T_i (Eq. 1), in request order.
+  std::vector<double> t_i;
+
+  /// Recorded trace events (FrameworkOptions::trace; empty when off or
+  /// the region is unconnected). render_trace_listing prints them.
+  std::vector<TraceEvent> trace_events;
+
+  /// Total unnecessary buffering time T_ub (Eq. 2).
+  double t_ub() const {
+    double s = 0;
+    for (double v : t_i) s += v;
+    return s;
+  }
+};
+
+/// Fixed counters of one imported region.
+struct ImportCounters {
   std::uint64_t imports = 0;
   std::uint64_t matches = 0;
   std::uint64_t no_matches = 0;
-  std::vector<double> import_seconds;
-  std::vector<Timestamp> matched_timestamps;
 
   /// Collective BufferPressure response (MemoryOptions::
   /// importer_throttle_seconds; zero unless the exporter is governed).
   std::uint64_t pressure_throttles = 0;
   double throttle_seconds = 0;
+};
+
+struct ImportRegionStats : ImportCounters {
+  std::string region;
+  std::vector<double> import_seconds;
+  std::vector<Timestamp> matched_timestamps;
 };
 
 /// Per-process failure-tolerance accounting (see FrameworkOptions).
@@ -99,9 +108,8 @@ struct FaultToleranceStats {
   bool rep_departed = false;           ///< finished via departure timeout
 };
 
-struct ProcStats {
-  std::vector<ExportRegionStats> exports;
-  std::vector<ImportRegionStats> imports;
+/// Fixed per-process counters.
+struct ProcCounters {
   FaultToleranceStats ft;
   double finished_at = 0;  ///< ctx.now() when the process body completed
 
@@ -110,5 +118,40 @@ struct ProcStats {
   std::uint64_t pressure_signals = 0;  ///< ProcPressure edges sent to the rep
   std::uint64_t pressure_notices = 0;  ///< PressureBcast level changes received
 };
+
+struct ProcStats : ProcCounters {
+  std::vector<ExportRegionStats> exports;
+  std::vector<ImportRegionStats> imports;
+
+  /// App results the process body handed to CouplingRuntime::publish, by
+  /// series name.
+  std::map<std::string, std::vector<double>> published;
+
+  /// The published series `name` (empty if nothing was published to it).
+  const std::vector<double>& series(const std::string& name) const {
+    static const std::vector<double> kNone;
+    auto it = published.find(name);
+    return it == published.end() ? kNone : it->second;
+  }
+};
+
+/// The one merge rule for counter blocks: the sum of every counter over
+/// `parts` (elements are a `Block` or derive from it). `Block` must consist
+/// of std::uint64_t counters only, which the assertion approximates: no
+/// padding, no floating point, 8-byte size and alignment.
+template <typename Block, typename Range>
+Block sum_counters(const Range& parts) {
+  static_assert(std::has_unique_object_representations_v<Block> &&
+                    sizeof(Block) % sizeof(std::uint64_t) == 0 &&
+                    alignof(Block) == alignof(std::uint64_t),
+                "sum_counters needs a block of std::uint64_t counters");
+  using Words = std::array<std::uint64_t, sizeof(Block) / sizeof(std::uint64_t)>;
+  Words total{};
+  for (const Block& part : parts) {
+    const auto words = std::bit_cast<Words>(part);
+    for (std::size_t i = 0; i < total.size(); ++i) total[i] += words[i];
+  }
+  return std::bit_cast<Block>(total);
+}
 
 }  // namespace ccf::core

@@ -24,6 +24,7 @@
 
 namespace ccf::core {
 
+/// One node's relay counters; nodes fold with sum_counters (core/stats.hpp).
 struct SubRepResult {
   std::uint64_t wire_in = 0;       ///< inbound wire messages
   std::uint64_t frames_up = 0;     ///< batched frames sent toward the rep

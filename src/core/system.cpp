@@ -16,24 +16,8 @@ namespace {
 /// by connection reproduces the single-shard ordering).
 RepResult merge_rep_shards(const std::vector<RepResult>& shards) {
   RepResult merged;
+  static_cast<RepCounters&>(merged) = sum_counters<RepCounters>(shards);
   for (const RepResult& s : shards) {
-    merged.requests_forwarded += s.requests_forwarded;
-    merged.answers_sent += s.answers_sent;
-    merged.buddy_helps_sent += s.buddy_helps_sent;
-    merged.responses_received += s.responses_received;
-    merged.duplicates_ignored += s.duplicates_ignored;
-    merged.answers_resent += s.answers_resent;
-    merged.heartbeats_sent += s.heartbeats_sent;
-    merged.meta_resends += s.meta_resends;
-    merged.forward_resends += s.forward_resends;
-    merged.pressure_signals += s.pressure_signals;
-    merged.pressure_notices += s.pressure_notices;
-    merged.pressure_broadcasts += s.pressure_broadcasts;
-    merged.wire_in += s.wire_in;
-    merged.frames_in += s.frames_in;
-    merged.frame_entries_in += s.frame_entries_in;
-    merged.frames_out += s.frames_out;
-    merged.frame_entries_out += s.frame_entries_out;
     merged.answers.insert(merged.answers.end(), s.answers.begin(), s.answers.end());
   }
   std::stable_sort(merged.answers.begin(), merged.answers.end(),
@@ -150,24 +134,19 @@ void CoupledSystem::run() {
     const ProgramLayout& pl = layout_.program(prog.name);
     for (int rank = 0; rank < pl.nprocs; ++rank) {
       const std::string name = prog.name;
-      ProcSlot* slot = &slots_[name][static_cast<std::size_t>(rank)];
+      ProcStats* slot = &slots_[name][static_cast<std::size_t>(rank)];
       ProgramBody* body = &bodies_[name];
       cluster->add_process(
           pl.proc(rank),
           [this, name, rank, slot, body](runtime::ProcessContext& ctx) {
             CouplingRuntime rt(ctx, config_, layout_, name, rank, framework_options_);
             (*body)(rt, ctx);
-            slot->stats = rt.stats_snapshot();
-            for (const auto& stats : slot->stats.exports) {
-              slot->traces[stats.region] = rt.trace_listing(stats.region);
-              slot->events[stats.region] = rt.trace_events(stats.region);
-            }
+            *slot = rt.stats_snapshot();
           },
-          runtime::ResultChannel{
-              [slot] { return encode_proc_result(slot->stats, slot->traces, slot->events); },
-              [slot](const std::vector<std::byte>& bytes) {
-                decode_proc_result(bytes, slot->stats, slot->traces, slot->events);
-              }});
+          runtime::ResultChannel{[slot] { return encode_proc_result(*slot); },
+                                 [slot](const std::vector<std::byte>& bytes) {
+                                   *slot = decode_proc_result(bytes);
+                                 }});
     }
     const std::string name = prog.name;
     auto& shard_slots = rep_shard_results_[name];
@@ -208,14 +187,7 @@ void CoupledSystem::run() {
     rep_results_[name] = merge_rep_shards(shards);
   }
   for (auto& [name, nodes] : subrep_node_results_) {
-    SubRepResult& total = subrep_results_[name];
-    for (const SubRepResult& n : nodes) {
-      total.wire_in += n.wire_in;
-      total.frames_up += n.frames_up;
-      total.entries_up += n.entries_up;
-      total.frames_down += n.frames_down;
-      total.entries_down += n.entries_down;
-    }
+    subrep_results_[name] = sum_counters<SubRepResult>(nodes);
   }
 }
 
@@ -224,31 +196,21 @@ const ProcStats& CoupledSystem::proc_stats(const std::string& program, int rank)
   CCF_REQUIRE(it != slots_.end(), "unknown program '" << program << "'");
   CCF_REQUIRE(rank >= 0 && static_cast<std::size_t>(rank) < it->second.size(),
               "rank " << rank << " outside program " << program);
-  return it->second[static_cast<std::size_t>(rank)].stats;
+  return it->second[static_cast<std::size_t>(rank)];
 }
 
-const std::string& CoupledSystem::trace_listing(const std::string& program, int rank,
-                                                const std::string& region) const {
-  static const std::string kEmpty;
-  auto it = slots_.find(program);
-  CCF_REQUIRE(it != slots_.end(), "unknown program '" << program << "'");
-  CCF_REQUIRE(rank >= 0 && static_cast<std::size_t>(rank) < it->second.size(),
-              "rank " << rank << " outside program " << program);
-  const auto& traces = it->second[static_cast<std::size_t>(rank)].traces;
-  auto t = traces.find(region);
-  return t == traces.end() ? kEmpty : t->second;
+std::string CoupledSystem::trace_listing(const std::string& program, int rank,
+                                         const std::string& region) const {
+  return render_trace_listing(trace_events(program, rank, region));
 }
 
 const std::vector<TraceEvent>& CoupledSystem::trace_events(const std::string& program, int rank,
                                                            const std::string& region) const {
   static const std::vector<TraceEvent> kEmpty;
-  auto it = slots_.find(program);
-  CCF_REQUIRE(it != slots_.end(), "unknown program '" << program << "'");
-  CCF_REQUIRE(rank >= 0 && static_cast<std::size_t>(rank) < it->second.size(),
-              "rank " << rank << " outside program " << program);
-  const auto& events = it->second[static_cast<std::size_t>(rank)].events;
-  auto t = events.find(region);
-  return t == events.end() ? kEmpty : t->second;
+  for (const ExportRegionStats& e : proc_stats(program, rank).exports) {
+    if (e.region == region) return e.trace_events;
+  }
+  return kEmpty;
 }
 
 const RepResult& CoupledSystem::rep_result(const std::string& program) const {

@@ -4,7 +4,7 @@
 // Given a Config, it derives the deployment layout, installs the rep
 // process for every program, wraps each worker process body with a
 // ready-made CouplingRuntime, runs the cluster to completion, and captures
-// per-process statistics and trace listings for the harness.
+// per-process statistics (trace events included) for the harness.
 #pragma once
 
 #include <functional>
@@ -48,12 +48,13 @@ class CoupledSystem {
   /// Statistics of one worker process (valid after run()).
   const ProcStats& proc_stats(const std::string& program, int rank) const;
 
-  /// Trace listing of an exported region on one process ("" if untraced).
-  const std::string& trace_listing(const std::string& program, int rank,
-                                   const std::string& region) const;
+  /// Trace listing of an exported region on one process ("" if untraced),
+  /// rendered from trace_events.
+  std::string trace_listing(const std::string& program, int rank,
+                            const std::string& region) const;
 
   /// Structured trace events of an exported region on one process (empty
-  /// if untraced). Same data as trace_listing, machine-checkable.
+  /// if untraced), as stored in its ExportRegionStats.
   const std::vector<TraceEvent>& trace_events(const std::string& program, int rank,
                                               const std::string& region) const;
 
@@ -83,18 +84,12 @@ class CoupledSystem {
   /// cluster_options_.transport are kept).
   void configure_transport();
 
-  struct ProcSlot {
-    ProcStats stats;
-    std::map<std::string, std::string> traces;  ///< region -> listing
-    std::map<std::string, std::vector<TraceEvent>> events;  ///< region -> events
-  };
-
   Config config_;
   runtime::ClusterOptions cluster_options_;
   FrameworkOptions framework_options_;
   DeploymentLayout layout_;
   std::map<std::string, ProgramBody> bodies_;
-  std::map<std::string, std::vector<ProcSlot>> slots_;
+  std::map<std::string, std::vector<ProcStats>> slots_;
   std::map<std::string, std::vector<RepResult>> rep_shard_results_;      ///< raw, per shard
   std::map<std::string, std::vector<SubRepResult>> subrep_node_results_; ///< raw, per node
   std::map<std::string, RepResult> rep_results_;

@@ -11,53 +11,56 @@ std::string ts(Timestamp t) {
   std::snprintf(buf, sizeof(buf), "%g", t);
   return buf;
 }
-}  // namespace
 
-std::string Trace::line(const TraceEvent& e) const {
+/// One event line (without the line number).
+std::string line(const TraceEvent& e, const std::string& name) {
   std::ostringstream os;
   switch (e.kind) {
     case TraceKind::ExportCopy:
-      os << "export " << name_ << "@" << ts(e.a) << ", call memcpy.";
+      os << "export " << name << "@" << ts(e.a) << ", call memcpy.";
       break;
     case TraceKind::ExportSkip:
-      os << "export " << name_ << "@" << ts(e.a) << ", skip memcpy.";
+      os << "export " << name << "@" << ts(e.a) << ", skip memcpy.";
       break;
     case TraceKind::Request:
-      os << "receive request for " << name_ << "@" << ts(e.a) << ".";
+      os << "receive request for " << name << "@" << ts(e.a) << ".";
       break;
     case TraceKind::Reply:
-      os << "reply {" << name_ << "@" << ts(e.a) << ", " << to_string(e.result) << ", "
-         << name_ << "@" << ts(e.b) << "}.";
+      os << "reply {" << name << "@" << ts(e.a) << ", " << to_string(e.result) << ", "
+         << name << "@" << ts(e.b) << "}.";
       break;
     case TraceKind::BuddyHelp:
-      os << "receive buddy-help {" << name_ << "@" << ts(e.a) << ", "
-         << (e.result == MatchResult::Match ? "YES" : "NO") << ", " << name_ << "@"
+      os << "receive buddy-help {" << name << "@" << ts(e.a) << ", "
+         << (e.result == MatchResult::Match ? "YES" : "NO") << ", " << name << "@"
          << ts(e.b) << "}.";
       break;
     case TraceKind::Remove:
       if (e.a == e.b) {
-        os << "remove " << name_ << "@" << ts(e.a) << ".";
+        os << "remove " << name << "@" << ts(e.a) << ".";
       } else {
-        os << "remove " << name_ << "@" << ts(e.a) << ", ..., " << name_ << "@" << ts(e.b)
+        os << "remove " << name << "@" << ts(e.a) << ", ..., " << name << "@" << ts(e.b)
            << ".";
       }
       break;
     case TraceKind::SendData:
-      os << "send " << name_ << "@" << ts(e.a) << " out.";
+      os << "send " << name << "@" << ts(e.a) << " out.";
       break;
     case TraceKind::LocalDecision:
-      os << "decide {" << name_ << "@" << ts(e.a) << ", " << to_string(e.result) << ", "
-         << name_ << "@" << ts(e.b) << "}.";
+      os << "decide {" << name << "@" << ts(e.a) << ", " << to_string(e.result) << ", "
+         << name << "@" << ts(e.b) << "}.";
       break;
   }
   return os.str();
 }
 
-std::string Trace::listing() const {
+}  // namespace
+
+std::string render_trace_listing(const std::vector<TraceEvent>& events,
+                                 const std::string& object_name) {
   std::ostringstream os;
   std::size_t n = 1;
-  for (const auto& e : events_) {
-    os << n++ << "  " << line(e) << "\n";
+  for (const auto& e : events) {
+    os << n++ << "  " << line(e, object_name) << "\n";
   }
   return os.str();
 }

@@ -33,11 +33,19 @@ struct TraceEvent {
   MatchResult result = MatchResult::Pending;
 };
 
+/// The object name export-side listings print (the paper's "D").
+inline constexpr const char* kTracedObject = "D";
+
+/// Renders `events` as the numbered listing of the paper's Figure 5/7/8
+/// style, naming the traced object `object_name`.
+std::string render_trace_listing(const std::vector<TraceEvent>& events,
+                                 const std::string& object_name = kTracedObject);
+
 /// Bounded, per-process event recorder. Disabled recorders cost one branch
 /// per emit.
 class Trace {
  public:
-  explicit Trace(std::string object_name = "D", bool enabled = false,
+  explicit Trace(std::string object_name = kTracedObject, bool enabled = false,
                  std::size_t max_events = 1 << 20)
       : name_(std::move(object_name)), enabled_(enabled), max_events_(max_events) {}
 
@@ -54,10 +62,7 @@ class Trace {
   void clear() { events_.clear(); }
 
   /// Renders the numbered listing in the paper's Figure 5/7/8 style.
-  std::string listing() const;
-
-  /// Renders one event line (without the line number).
-  std::string line(const TraceEvent& e) const;
+  std::string listing() const { return render_trace_listing(events_, name_); }
 
  private:
   std::string name_;

@@ -38,8 +38,6 @@ FrameworkOptions framework_options(const Scenario& s) {
   fw.trace = true;  // structured events are the conformance observable
   if (s.faults.enabled) {
     fw.retry_timeout_seconds = 0.05;
-    fw.retry_backoff_factor = 2.0;
-    fw.max_retries = 64;
     fw.heartbeat_interval_seconds = 0.5;
     fw.departure_timeout_seconds = 10.0;
   }

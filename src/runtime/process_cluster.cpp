@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <exception>
 #include <mutex>
@@ -94,6 +95,9 @@ void ProcessCluster::run() {
 
   const auto epoch = WallClock::now();
   std::vector<pid_t> pids(n, -1);
+  // Children inherit the launcher's unflushed stdio buffers; flushing
+  // first keeps launcher output from being written once per child.
+  std::fflush(nullptr);
   // Fork every child before spawning any launcher-side thread: a fork
   // while another thread holds an allocator lock would deadlock the child.
   for (std::size_t i = 0; i < n; ++i) {
@@ -129,9 +133,13 @@ void ProcessCluster::run() {
       result.assign(reinterpret_cast<const std::byte*>(kUnknown),
                     reinterpret_cast<const std::byte*>(kUnknown) + sizeof kUnknown - 1);
     }
+    // _exit drops stdio buffers, so the body's output (fully buffered when
+    // stdout is not a terminal) is flushed here, before the launcher can
+    // see this child finish and print after it.
+    std::fflush(nullptr);
     write_record(write_fd[i], status, result);
     ::close(write_fd[i]);
-    // _exit: no launcher-side destructors or stdio flushes in the child.
+    // _exit: no launcher-side destructors in the child.
     ::_exit(status == kChildOk || status == kChildTorndown ? 0 : 1);
   }
   for (int fd : write_fd) ::close(fd);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/check.hpp"
-
 namespace ccf::util {
 
 void RunningStats::add(double x) {
@@ -48,38 +46,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-double percentile(std::vector<double> values, double q) {
-  CCF_REQUIRE(!values.empty(), "percentile of empty vector");
-  CCF_REQUIRE(q >= 0.0 && q <= 1.0, "quantile " << q << " outside [0,1]");
-  std::sort(values.begin(), values.end());
-  if (values.size() == 1) return values.front();
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-LinearFit linear_fit(const std::vector<double>& xs, const std::vector<double>& ys) {
-  CCF_REQUIRE(xs.size() == ys.size(), "linear_fit size mismatch: " << xs.size() << " vs " << ys.size());
-  LinearFit fit;
-  const std::size_t n = xs.size();
-  if (n < 2) return fit;
-  double sx = 0, sy = 0, sxx = 0, sxy = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sx += xs[i];
-    sy += ys[i];
-    sxx += xs[i] * xs[i];
-    sxy += xs[i] * ys[i];
-  }
-  const double dn = static_cast<double>(n);
-  const double denom = dn * sxx - sx * sx;
-  if (std::abs(denom) < 1e-300) return fit;
-  fit.slope = (dn * sxy - sx * sy) / denom;
-  fit.intercept = (sy - fit.slope * sx) / dn;
-  return fit;
-}
-
 double mean_of(const std::vector<double>& values, std::size_t first, std::size_t last) {
   last = std::min(last, values.size());
   if (first >= last) return 0.0;
@@ -107,27 +73,5 @@ std::size_t settle_index(const std::vector<double>& series, std::size_t window,
   }
   return settle;
 }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi) {
-  CCF_REQUIRE(hi > lo, "histogram range [" << lo << "," << hi << ") is empty");
-  CCF_REQUIRE(bins > 0, "histogram needs at least one bin");
-  width_ = (hi - lo) / static_cast<double>(bins);
-  counts_.assign(bins, 0);
-}
-
-void Histogram::add(double x) {
-  double idx = (x - lo_) / width_;
-  std::size_t bin = 0;
-  if (idx >= static_cast<double>(counts_.size())) {
-    bin = counts_.size() - 1;
-  } else if (idx > 0) {
-    bin = static_cast<std::size_t>(idx);
-  }
-  counts_[bin] += 1;
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-double Histogram::bin_high(std::size_t i) const { return lo_ + width_ * static_cast<double>(i + 1); }
 
 }  // namespace ccf::util

@@ -1,11 +1,9 @@
-// Statistics helpers used by the benchmark harness and by the framework's
-// internal accounting: streaming moments (Welford), percentile extraction,
-// least-squares linear fit, and knee detection for the Figure-4 style
-// "time decays until the optimal state" series.
+// Statistics helpers used by the benchmark harness: streaming moments
+// (Welford), range means, and knee detection for the Figure-4 style "time
+// decays until the optimal state" series.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace ccf::util {
@@ -34,16 +32,6 @@ class RunningStats {
   double sum_ = 0.0;
 };
 
-/// Percentile with linear interpolation; `q` in [0,1]. Sorts a copy.
-double percentile(std::vector<double> values, double q);
-
-/// Least-squares fit y = a + b*x. Returns {a, b}; b = 0 when degenerate.
-struct LinearFit {
-  double intercept = 0.0;
-  double slope = 0.0;
-};
-LinearFit linear_fit(const std::vector<double>& xs, const std::vector<double>& ys);
-
 /// Mean of values[first, last) — empty range yields 0.
 double mean_of(const std::vector<double>& values, std::size_t first, std::size_t last);
 
@@ -58,26 +46,5 @@ double mean_of(const std::vector<double>& values, std::size_t first, std::size_t
 /// `window` samples). Returns the series size when no plateau is reached.
 std::size_t settle_index(const std::vector<double>& series, std::size_t window,
                          double plateau_tolerance);
-
-/// Simple fixed-width histogram over [lo, hi); values outside clamp to the
-/// edge bins. Used by microbenches to show latency spread.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_low(std::size_t i) const;
-  double bin_high(std::size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace ccf::util

@@ -255,42 +255,6 @@ TEST(MemoryGovernance, BuddyHelpFreesSpilledSnapshotsWithoutRestore) {
   fs::remove_all(fw.memory.spill_directory);
 }
 
-TEST(MemoryGovernance, ArenaCapacityOptionBoundsFreeList) {
-  // arena_capacity = 0 disables frame recycling entirely: every store
-  // heap-allocates, proving the option reaches the pool. (The recycling
-  // default of 8 is covered by buffer_pool_test.)
-  const auto decomp = BlockDecomposition::make_grid(8, 8, 1);
-  Config config = make_config(1, 1);
-  FrameworkOptions fw;
-  fw.memory.arena_capacity = 0;
-  CoupledSystem system(config, runtime::ClusterOptions{}, fw);
-  system.set_program_body("E", [&](CouplingRuntime& rt, runtime::ProcessContext& ctx) {
-    rt.define_export_region("r", decomp);
-    rt.commit();
-    DistArray2D<double> data(decomp, rt.rank());
-    for (int k = 1; k <= 20; ++k) {
-      ctx.compute(1e-4);
-      rt.export_region("r", k, data);
-    }
-    rt.finalize();
-  });
-  system.set_program_body("I", [&](CouplingRuntime& rt, runtime::ProcessContext& ctx) {
-    rt.define_import_region("r", decomp);
-    rt.commit();
-    DistArray2D<double> out(decomp, rt.rank());
-    for (double x : {5.0, 10.0, 15.0}) {
-      EXPECT_TRUE(rt.import_region("r", x, out).ok());
-      ctx.compute(1e-3);
-    }
-    rt.finalize();
-  });
-  system.run();
-  const auto stats = system.proc_stats("E", 0).exports.at(0).buffer;
-  EXPECT_GT(stats.stores, 0u);
-  EXPECT_EQ(stats.arena_reuses, 0u);  // nothing was ever parked for reuse
-  EXPECT_EQ(stats.arena_allocs, stats.stores);
-}
-
 TEST(MemoryGovernance, ImporterThrottlesWhileExporterUnderPressure) {
   const dist::Index side = 16;
   const auto decomp = BlockDecomposition::make_grid(side, side, 2);

@@ -118,6 +118,15 @@ TEST(RepTreeTest, ShardedRepAnswersMatchFlatRep) {
   const RunOutcome both = run_workload(8, 4, 2);  // tree + shards together
   expect_same_answers(flat, both);
   EXPECT_GT(both.rep.frames_in, 0u);
+  // The summed shard counters and the summed sub-rep counters describe the
+  // same depth-1 tree's traffic, and the shards together do the flat rep's
+  // aggregation work.
+  EXPECT_EQ(both.rep.frames_in, both.subrep.frames_up);
+  EXPECT_EQ(both.rep.frame_entries_in, both.subrep.entries_up);
+  EXPECT_EQ(both.rep.frames_out, both.subrep.frames_down);
+  EXPECT_EQ(both.rep.requests_forwarded, flat.rep.requests_forwarded);
+  EXPECT_EQ(both.rep.answers_sent, flat.rep.answers_sent);
+  EXPECT_EQ(both.rep.responses_received, flat.rep.responses_received);
 }
 
 TEST(RepTreeTest, TreeBoundsRepInboundTraffic) {
@@ -135,7 +144,6 @@ TEST(RepTreeTest, TreeBoundsRepInboundTraffic) {
 TEST(RepTreeTest, TreeSurvivesFailureTolerantMode) {
   FrameworkOptions options;
   options.retry_timeout_seconds = 0.05;
-  options.max_retries = 10;
   options.heartbeat_interval_seconds = 0.02;
   const RunOutcome flat = run_workload(9, 0, 1, options);
   const RunOutcome tree = run_workload(9, 3, 1, options);

@@ -1,13 +1,13 @@
 // Result-codec round-trip tests: the byte encodings that carry a forked
 // child's run results back to the launcher (runtime::ResultChannel) must
-// reproduce every field — stats, traces, trace events, rep answers —
-// exactly. A silently dropped field here would corrupt reports only in
+// reproduce every field — counter blocks, trace events, published series,
+// rep answers — exactly. The per-field checks are the reference that
+// catches a field the codec drops. A silently dropped field here would corrupt reports only in
 // process mode, the one mode where the launcher can't see the child's
 // memory.
 #include <gtest/gtest.h>
 
-#include <map>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 #include "core/result_codec.hpp"
@@ -43,6 +43,14 @@ ProcStats sample_stats() {
   e.duplicate_requests = 1;
   e.reordered_requests = 2;
   e.degraded_conns = 1;
+  TraceEvent ev;
+  ev.kind = TraceKind::ExportCopy;
+  ev.when = 0.25;
+  ev.a = 1.0;
+  ev.b = 2.0;
+  ev.result = MatchResult::Match;
+  e.trace_events = {ev, ev};
+  e.trace_events[1].kind = TraceKind::BuddyHelp;
   s.exports.push_back(e);
 
   ImportRegionStats i;
@@ -69,27 +77,14 @@ ProcStats sample_stats() {
   s.governor.budget_denials = 2;
   s.pressure_signals = 3;
   s.pressure_notices = 4;
+  s.published["energy"] = {1.5, -0.25, 3e-9};
+  s.published["empty"] = {};
   return s;
 }
 
 TEST(ResultCodec, ProcResultRoundTripsEveryField) {
   const ProcStats want = sample_stats();
-  std::map<std::string, std::string> want_traces = {
-      {"velocity", "E1 E2 M1.5"}, {"pressure", "R1.5=1 R4=4"}};
-  std::map<std::string, std::vector<TraceEvent>> want_events;
-  TraceEvent ev;
-  ev.kind = TraceKind::ExportCopy;
-  ev.when = 0.25;
-  ev.a = 1.0;
-  ev.b = 2.0;
-  ev.result = MatchResult::Match;
-  want_events["velocity"] = {ev, ev};
-
-  const auto bytes = encode_proc_result(want, want_traces, want_events);
-  ProcStats got;
-  std::map<std::string, std::string> got_traces;
-  std::map<std::string, std::vector<TraceEvent>> got_events;
-  decode_proc_result(bytes, got, got_traces, got_events);
+  const ProcStats got = decode_proc_result(encode_proc_result(want));
 
   ASSERT_EQ(got.exports.size(), 1u);
   const ExportRegionStats& e = got.exports[0];
@@ -120,6 +115,14 @@ TEST(ResultCodec, ProcResultRoundTripsEveryField) {
   EXPECT_EQ(e.duplicate_requests, we.duplicate_requests);
   EXPECT_EQ(e.reordered_requests, we.reordered_requests);
   EXPECT_EQ(e.degraded_conns, we.degraded_conns);
+  ASSERT_EQ(e.trace_events.size(), 2u);
+  for (std::size_t k = 0; k < 2; ++k) {
+    EXPECT_EQ(e.trace_events[k].kind, we.trace_events[k].kind);
+    EXPECT_DOUBLE_EQ(e.trace_events[k].when, we.trace_events[k].when);
+    EXPECT_DOUBLE_EQ(e.trace_events[k].a, we.trace_events[k].a);
+    EXPECT_DOUBLE_EQ(e.trace_events[k].b, we.trace_events[k].b);
+    EXPECT_EQ(e.trace_events[k].result, we.trace_events[k].result);
+  }
 
   ASSERT_EQ(got.imports.size(), 1u);
   const ImportRegionStats& i = got.imports[0];
@@ -147,27 +150,18 @@ TEST(ResultCodec, ProcResultRoundTripsEveryField) {
   EXPECT_EQ(got.pressure_signals, want.pressure_signals);
   EXPECT_EQ(got.pressure_notices, want.pressure_notices);
 
-  EXPECT_EQ(got_traces, want_traces);
-  ASSERT_EQ(got_events.size(), 1u);
-  ASSERT_EQ(got_events["velocity"].size(), 2u);
-  EXPECT_EQ(got_events["velocity"][0].kind, ev.kind);
-  EXPECT_DOUBLE_EQ(got_events["velocity"][0].when, ev.when);
-  EXPECT_DOUBLE_EQ(got_events["velocity"][1].a, ev.a);
-  EXPECT_DOUBLE_EQ(got_events["velocity"][1].b, ev.b);
-  EXPECT_EQ(got_events["velocity"][1].result, ev.result);
+  EXPECT_EQ(got.published, want.published);
+  EXPECT_EQ(got.series("energy"), want.series("energy"));
+  EXPECT_TRUE(got.series("absent").empty());
 }
 
 TEST(ResultCodec, EmptyProcResultRoundTrips) {
-  const auto bytes = encode_proc_result(ProcStats{}, {}, {});
-  ProcStats got;
-  got.exports.push_back(ExportRegionStats{});  // decode must reset, not append
-  std::map<std::string, std::string> traces = {{"stale", "stale"}};
-  std::map<std::string, std::vector<TraceEvent>> events;
-  decode_proc_result(bytes, got, traces, events);
+  const ProcStats got = decode_proc_result(encode_proc_result(ProcStats{}));
   EXPECT_TRUE(got.exports.empty());
   EXPECT_TRUE(got.imports.empty());
-  EXPECT_TRUE(traces.empty());
-  EXPECT_TRUE(events.empty());
+  EXPECT_TRUE(got.published.empty());
+  EXPECT_EQ(got.ft.request_retries, 0u);
+  EXPECT_FALSE(got.ft.rep_departed);
 }
 
 TEST(ResultCodec, RepResultRoundTripsCountersAndAnswers) {
@@ -254,6 +248,13 @@ TEST(ResultCodec, TruncatedOrTrailingBytesAreRejected) {
   auto sub = encode_subrep_result(SubRepResult{});
   sub.pop_back();
   EXPECT_THROW((void)decode_subrep_result(sub), util::Error);
+
+  auto proc = encode_proc_result(sample_stats());
+  auto trailing = proc;
+  trailing.push_back(std::byte{0});
+  EXPECT_THROW((void)decode_proc_result(trailing), util::Error);
+  proc.pop_back();
+  EXPECT_THROW((void)decode_proc_result(proc), util::Error);
 }
 
 }  // namespace

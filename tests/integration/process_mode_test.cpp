@@ -4,16 +4,22 @@
 // answers and identical deterministic statistics. The bodies execute in
 // children, so everything the launcher reports here arrived over the
 // ResultChannel pipes (core/result_codec) — direct writes stay behind in
-// copy-on-write memory.
+// copy-on-write memory, so app results come back as published series.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
+#include "collectives/communicator.hpp"
+#include "collectives/reduce_ops.hpp"
 #include "core/report.hpp"
 #include "core/system.hpp"
+#include "sim/forcing.hpp"
+#include "sim/wave2d.hpp"
 
 namespace ccf::core {
 namespace {
@@ -173,6 +179,68 @@ TEST(ProcessMode, ReportCsvRecordsTheDeployedTransport) {
   }
   EXPECT_GT(rows, 0);
   std::remove(path.c_str());
+}
+
+/// coupled_diffusion's workload (examples/coupled_diffusion.cpp, smaller):
+/// forcing program F exports every fine step, wave solver U imports once
+/// per coarse step and publishes its global energy from rank 0.
+std::vector<double> coupled_diffusion_trajectory(runtime::ExecutionMode mode) {
+  const dist::Index grid = 24;
+  const int coarse_steps = 6, refine = 4, solver_procs = 3, forcing_procs = 2;
+  const double solver_dt = 0.1, forcing_dt = solver_dt / refine;
+  Config config;
+  config.add_program(ProgramSpec{"F", "h", "/f", forcing_procs, {}});
+  config.add_program(ProgramSpec{"U", "h", "/u", solver_procs, {}});
+  config.add_connection(ConnectionSpec{"F", "f", "U", "f", MatchPolicy::REGL, solver_dt, {}});
+  runtime::ClusterOptions cluster_options;
+  cluster_options.mode = mode;
+  CoupledSystem system(config, cluster_options, FrameworkOptions{});
+  const auto f_layout = BlockDecomposition::make_grid(grid, grid, forcing_procs);
+  const auto u_layout = BlockDecomposition::make_grid(grid, grid, solver_procs);
+
+  system.set_program_body("F", [&](CouplingRuntime& rt, runtime::ProcessContext& ctx) {
+    rt.define_export_region("f", f_layout);
+    rt.commit();
+    sim::ForcingField forcing(f_layout, rt.rank());
+    for (int k = 1; k <= coarse_steps * refine; ++k) {
+      forcing.fill(k * forcing_dt);
+      ctx.compute(1e-5);
+      rt.export_region("f", k * forcing_dt, forcing.field());
+    }
+    rt.finalize();
+  });
+  system.set_program_body("U", [&](CouplingRuntime& rt, runtime::ProcessContext& ctx) {
+    rt.define_import_region("f", u_layout);
+    rt.commit();
+    const auto peers = system.layout().program("U").proc_ids();
+    sim::WaveSolver2D solver(u_layout, rt.rank(), peers, solver_dt);
+    DistArray2D<double> forcing(u_layout, rt.rank());
+    collectives::Communicator comm(ctx, peers);
+    for (int step = 1; step <= coarse_steps; ++step) {
+      CCF_CHECK(rt.import_region("f", step * solver_dt, forcing).ok(), "forcing import failed");
+      solver.step(ctx, forcing);
+      const double energy = comm.all_reduce_one(solver.local_energy(), collectives::Sum{});
+      if (rt.rank() == 0) rt.publish("energy", energy);
+    }
+    rt.finalize();
+  });
+  system.run();
+  return system.proc_stats("U", 0).series("energy");
+}
+
+TEST(ProcessMode, CoupledDiffusionTrajectoryIsBitwiseIdenticalInEveryMode) {
+  const std::vector<double> sim = coupled_diffusion_trajectory(runtime::ExecutionMode::VirtualTime);
+  ASSERT_EQ(sim.size(), 6u);
+  EXPECT_GT(sim.back(), 0.0);
+  for (const auto mode :
+       {runtime::ExecutionMode::RealThreads, runtime::ExecutionMode::RealProcesses}) {
+    const std::vector<double> got = coupled_diffusion_trajectory(mode);
+    ASSERT_EQ(got.size(), sim.size()) << "mode " << static_cast<int>(mode);
+    for (std::size_t i = 0; i < sim.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]), std::bit_cast<std::uint64_t>(sim[i]))
+          << "mode " << static_cast<int>(mode) << " step " << i + 1;
+    }
+  }
 }
 
 }  // namespace

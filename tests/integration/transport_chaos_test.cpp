@@ -33,8 +33,6 @@ struct Answer {
 FrameworkOptions tolerant_options() {
   FrameworkOptions fw;
   fw.retry_timeout_seconds = 0.1;
-  fw.retry_backoff_factor = 2.0;
-  fw.max_retries = 64;
   fw.heartbeat_interval_seconds = 0.5;
   fw.departure_timeout_seconds = 30.0;
   return fw;

@@ -53,8 +53,6 @@ Workload default_workload() {
 FrameworkOptions tolerant_options() {
   FrameworkOptions fw;
   fw.retry_timeout_seconds = 0.05;
-  fw.retry_backoff_factor = 2.0;
-  fw.max_retries = 64;
   fw.heartbeat_interval_seconds = 0.5;
   fw.departure_timeout_seconds = 10.0;
   return fw;

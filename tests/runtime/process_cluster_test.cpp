@@ -4,7 +4,12 @@
 // exactly as on the thread backend.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -182,6 +187,35 @@ TEST(ProcessCluster, CrossNodeProcessesExchangeOverTcp) {
   const auto c = cluster->transport_counters();
   EXPECT_GE(c.tcp_frames, 2u);
   EXPECT_EQ(c.decode_errors, 0u);
+}
+
+TEST(ProcessCluster, ForkedStdoutReachesARedirectedFileExactlyOnce) {
+  // Redirected to a file, stdout is fully buffered: a child that _exits
+  // with its own lines still buffered loses them, and one that inherited
+  // the launcher's unflushed line would write that line again.
+  const std::string path = ::testing::TempDir() + "ccf_process_cluster_stdout.txt";
+  std::fflush(stdout);
+  const int saved = ::dup(STDOUT_FILENO);
+  ASSERT_GE(saved, 0);
+  ASSERT_NE(std::freopen(path.c_str(), "w", stdout), nullptr);
+  auto cluster = make_cluster(process_options());
+  const int n = 3;
+  for (int id = 0; id < n; ++id) {
+    cluster->add_process(id, [id](ProcessContext&) { std::printf("child %d\n", id); });
+  }
+  std::printf("launcher\n");  // still buffered when run() forks
+  cluster->run();
+  std::fflush(stdout);
+  ::dup2(saved, STDOUT_FILENO);
+  ::close(saved);
+
+  std::multiset<std::string> lines;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) lines.insert(line);
+  std::remove(path.c_str());
+  EXPECT_EQ(lines.count("launcher"), 1u);
+  for (int id = 0; id < n; ++id) EXPECT_EQ(lines.count("child " + std::to_string(id)), 1u);
+  EXPECT_EQ(lines.size(), static_cast<std::size_t>(n + 1));
 }
 
 TEST(ProcessCluster, ValidatesUsage) {

@@ -7,7 +7,6 @@
 
 #include "util/check.hpp"
 #include "util/cli.hpp"
-#include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/work.hpp"
@@ -79,26 +78,6 @@ TEST(Cli, ParseLists) {
   ASSERT_EQ(doubles.size(), 2u);
   EXPECT_DOUBLE_EQ(doubles[1], 2.5);
   EXPECT_THROW(parse_int_list("1,x"), InvalidArgument);
-}
-
-TEST(RingBufferTest, WrapsAndKeepsNewest) {
-  RingBuffer<int> ring(3);
-  EXPECT_TRUE(ring.empty());
-  for (int i = 1; i <= 5; ++i) ring.push(i);
-  EXPECT_TRUE(ring.full());
-  EXPECT_EQ(ring.size(), 3u);
-  EXPECT_EQ(ring.oldest(), 3);
-  EXPECT_EQ(ring.newest(), 5);
-  EXPECT_EQ(ring.at(1), 4);
-  const auto snap = ring.snapshot();
-  EXPECT_EQ(snap, (std::vector<int>{3, 4, 5}));
-}
-
-TEST(RingBufferTest, BoundsChecked) {
-  RingBuffer<int> ring(2);
-  ring.push(1);
-  EXPECT_THROW(ring.at(1), InvalidArgument);
-  EXPECT_THROW(RingBuffer<int>(0), InvalidArgument);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {

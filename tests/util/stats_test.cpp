@@ -4,8 +4,6 @@
 
 #include <cmath>
 
-#include "util/check.hpp"
-
 namespace ccf::util {
 namespace {
 
@@ -65,43 +63,6 @@ TEST(RunningStats, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
 }
 
-TEST(Percentile, MedianAndExtremes) {
-  std::vector<double> v{5, 1, 4, 2, 3};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 1.0), 5.0);
-}
-
-TEST(Percentile, Interpolates) {
-  std::vector<double> v{0, 10};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.25), 2.5);
-  EXPECT_DOUBLE_EQ(percentile(v, 0.9), 9.0);
-}
-
-TEST(Percentile, RejectsBadInput) {
-  EXPECT_THROW(percentile({}, 0.5), InvalidArgument);
-  EXPECT_THROW(percentile({1.0}, 1.5), InvalidArgument);
-}
-
-TEST(LinearFitTest, ExactLine) {
-  std::vector<double> xs{0, 1, 2, 3}, ys{1, 3, 5, 7};
-  const LinearFit f = linear_fit(xs, ys);
-  EXPECT_NEAR(f.intercept, 1.0, 1e-12);
-  EXPECT_NEAR(f.slope, 2.0, 1e-12);
-}
-
-TEST(LinearFitTest, DegenerateCases) {
-  EXPECT_EQ(linear_fit({}, {}).slope, 0.0);
-  EXPECT_EQ(linear_fit({1}, {5}).slope, 0.0);
-  // All x equal: denominator zero.
-  const LinearFit f = linear_fit({2, 2, 2}, {1, 2, 3});
-  EXPECT_EQ(f.slope, 0.0);
-}
-
-TEST(LinearFitTest, SizeMismatchThrows) {
-  EXPECT_THROW(linear_fit({1, 2}, {1}), InvalidArgument);
-}
-
 TEST(MeanOf, RangeSemantics) {
   std::vector<double> v{1, 2, 3, 4};
   EXPECT_DOUBLE_EQ(mean_of(v, 0, 4), 2.5);
@@ -135,26 +96,6 @@ TEST(SettleIndex, ShortSeries) {
   std::vector<double> s{1.0, 2.0};
   EXPECT_EQ(settle_index(s, 10, 0.05), 2u);  // shorter than window
   EXPECT_EQ(settle_index(s, 0, 0.05), 2u);   // zero window
-}
-
-TEST(HistogramTest, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(9.9);   // bin 4
-  h.add(-3.0);  // clamps to bin 0
-  h.add(42.0);  // clamps to bin 4
-  h.add(5.0);   // bin 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(2), 1u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bin_low(2), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(2), 6.0);
-}
-
-TEST(HistogramTest, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(5.0, 5.0, 3), InvalidArgument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), InvalidArgument);
 }
 
 }  // namespace
