@@ -100,23 +100,34 @@ Row run_point(int ranks, int fanin, int shards, int requests_per_conn, int flush
     rt.define_import_region("b", i_decomp);
     rt.commit();
     DistArray2D<double> data(i_decomp, rt.rank());
+    int requests = 0, matched = 0;
+    double checksum = 0;
     for (int k = 0; k < requests_per_conn; ++k) {
       ctx.compute(1e-4);
       for (const char* region : {"a", "b"}) {
         const auto status = rt.import_region(region, 0.75 + k, data);
-        ++row.requests;
+        ++requests;
         if (status.ok()) {
-          ++row.matched;
-          row.checksum += status.matched * 3.0 + data.data()[0];
+          ++matched;
+          checksum += status.matched * 3.0 + data.data()[0];
         } else {
-          row.checksum -= 1.0;
+          checksum -= 1.0;
         }
       }
     }
+    // Published, not written to `row`: a forked body's writes stay in the
+    // child (CCF_MODE=procs).
+    rt.publish("requests", requests);
+    rt.publish("matched", matched);
+    rt.publish("checksum", checksum);
     rt.finalize();
   });
 
   system.run();
+  const core::ProcStats importer = system.proc_stats("I", 0);
+  row.requests = static_cast<int>(importer.series("requests").at(0));
+  row.matched = static_cast<int>(importer.series("matched").at(0));
+  row.checksum = importer.series("checksum").at(0);
   row.rep = system.rep_result("E");
   row.subrep = system.subrep_result("E");
   row.end_time = system.end_time();

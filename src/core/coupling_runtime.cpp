@@ -30,6 +30,64 @@ void send_up_all(runtime::ProcessContext& ctx, const ControlRoute& route, Tag ta
 
 }  // namespace
 
+// Lossless mode blocks in a plain receive: in virtual time every deadline
+// receive queues a Deadline event, so even an unreachable deadline would
+// change the event stream. In failure-tolerant mode a wait ticks when its
+// deadline passes with nothing received:
+//   - geometry and answer: a first timeout staggered by rank (retries do
+//     not stampede), backoff, re-parenting, and giving up after
+//     kMaxRetries ticks;
+//   - shutdown: the same without the retry limit (its tick's departure
+//     check bounds it, or nothing does);
+//   - buffer space: only when stall_timeout_seconds > 0, one deadline
+//     absolute from stall entry, without backoff, retry count or
+//     re-parenting.
+template <class Done, class OnMessage, class OnTick>
+void CouplingRuntime::wait_for(const Wait& what, Done&& done, OnMessage&& on_message,
+                               OnTick&& on_tick) {
+  // Re-read before every receive: a tick may re-parent the route.
+  auto match = [&] {
+    MatchSpec spec = route_.control_match();
+    // With several shards one may forward a request while another's
+    // geometry is still on its way; no export state exists yet to take it,
+    // so the geometry wait leaves everything but the broadcast queued.
+    if (what.kind == Wait::Geometry) spec.tag = kTagRegionMetaBcast;
+    return spec;
+  };
+  const bool stall = what.kind == Wait::BufferSpace;
+  const bool ticks =
+      options_.failure_tolerance() && (!stall || options_.stall_timeout_seconds > 0);
+  const double stall_deadline = ctx_.now() + options_.stall_timeout_seconds;
+  double timeout = options_.retry_timeout_seconds * (1.0 + 0.1 * rank_);
+  int retries = 0;
+  while (!done()) {
+    std::optional<Message> m;
+    if (!ticks) {
+      m = ctx_.recv(match());
+    } else {
+      m = ctx_.recv_until(match(), stall ? stall_deadline : ctx_.now() + timeout);
+    }
+    if (m) {
+      on_message(*m);
+      continue;
+    }
+    if (!stall) {
+      if (what.kind != Wait::Shutdown && ++retries > kMaxRetries) {
+        const std::string wait = what.kind == Wait::Geometry
+                                     ? std::string("geometry wait")
+                                     : "answer wait on connection " + std::to_string(what.conn) +
+                                           " seq " + std::to_string(what.seq);
+        throw util::TimeoutError(wait + ": nothing received after " +
+                                 std::to_string(kMaxRetries) + " retries at process " +
+                                 std::to_string(ctx_.id()));
+      }
+      maybe_reparent();
+    }
+    if (!on_tick()) return;
+    timeout = std::min(timeout * kRetryBackoffFactor, options_.backoff_cap_seconds());
+  }
+}
+
 CouplingRuntime::CouplingRuntime(runtime::ProcessContext& ctx, const Config& config,
                                  const DeploymentLayout& layout, std::string program_name,
                                  int rank, FrameworkOptions options)
@@ -116,11 +174,6 @@ void CouplingRuntime::commit() {
   // A process is committed once it holds all shards' pieces.
   std::map<std::uint32_t, RegionMeta> peer_meta;
   std::set<int> meta_seen;
-  auto meta_spec = [&] {
-    MatchSpec spec = route_.control_match();
-    spec.tag = kTagRegionMetaBcast;
-    return spec;
-  };
   auto absorb_meta = [&](const Message& m) {
     Reader r(m.payload);
     const int shard = static_cast<int>(r.get<std::uint32_t>());
@@ -136,34 +189,18 @@ void CouplingRuntime::commit() {
     // before a dropped broadcast was recovered), so receipt is acknowledged.
     if (options_.failure_tolerance()) send_meta_ack(shard);
   };
-  if (!options_.failure_tolerance()) {
-    while (static_cast<int>(meta_seen.size()) < route_.shards) {
-      absorb_meta(ctx_.recv(meta_spec()));
-    }
-  } else {
-    // The definitions, the rep-to-rep geometry shipment, or a broadcast
-    // itself may have been lost: time out, re-send what we own, and nudge
-    // every shard to replay its broadcast. Timeouts are staggered by rank.
-    double timeout = options_.retry_timeout_seconds * (1.0 + 0.1 * rank_);
-    int retries = 0;
-    while (static_cast<int>(meta_seen.size()) < route_.shards) {
-      auto maybe = ctx_.recv_until(meta_spec(), ctx_.now() + timeout);
-      if (maybe) {
-        absorb_meta(*maybe);
-        continue;
-      }
-      if (++retries > kMaxRetries) {
-        throw util::TimeoutError("commit(): no region-geometry broadcast after " +
-                                 std::to_string(retries - 1) + " retries at process " +
-                                 std::to_string(ctx_.id()));
-      }
-      ++counters_.ft.commit_retries;
-      maybe_reparent();
-      if (rank_ == 0) send_up_all(ctx_, route_, kTagRegionDefs, defs_payload);
-      send_up_all(ctx_, route_, kTagMetaNudge, transport::empty_payload());
-      timeout = std::min(timeout * kRetryBackoffFactor, options_.backoff_cap_seconds());
-    }
-  }
+  wait_for(
+      Wait{Wait::Geometry}, [&] { return static_cast<int>(meta_seen.size()) >= route_.shards; },
+      absorb_meta,
+      [&] {
+        // The definitions, the rep-to-rep geometry shipment, or a broadcast
+        // itself may have been lost: re-send what we own, and nudge every
+        // shard to replay its broadcast.
+        ++counters_.ft.commit_retries;
+        if (rank_ == 0) send_up_all(ctx_, route_, kTagRegionDefs, defs_payload);
+        send_up_all(ctx_, route_, kTagMetaNudge, transport::empty_payload());
+        return true;
+      });
 
   // Build export-side state machines.
   for (auto& [name, region] : export_regions_) {
@@ -263,63 +300,25 @@ void CouplingRuntime::stash_answer(const AnswerMsg& answer) {
 AnswerMsg CouplingRuntime::await_answer(ImportRegion& region, std::uint32_t seq,
                                         Timestamp requested) {
   const int conn_id = region.conn_id;
-  auto consume_stashed = [&]() -> std::optional<AnswerMsg> {
-    auto stash = stashed_answers_.find(conn_id);
-    if (stash == stashed_answers_.end()) return std::nullopt;
-    auto hit = stash->second.find(seq);
-    if (hit == stash->second.end()) return std::nullopt;
-    AnswerMsg answer = hit->second;
-    stash->second.erase(hit);
-    return answer;
-  };
-  if (auto stashed = consume_stashed()) return *stashed;
-
+  std::map<std::uint32_t, AnswerMsg>& stash = stashed_answers_[conn_id];
   // While blocked on our own import we keep serving framework traffic —
   // in bidirectional couplings the peer's request may need this very
   // process's response before the peer can produce the data we wait for.
-  const bool tolerant = options_.failure_tolerance();
-  double timeout = options_.retry_timeout_seconds * (1.0 + 0.1 * rank_);
-  int retries = 0;
-  for (;;) {
-    std::optional<Message> maybe;
-    if (!tolerant) {
-      maybe = ctx_.recv(route_.control_match());
-    } else {
-      maybe = ctx_.recv_until(route_.control_match(), ctx_.now() + timeout);
-      if (!maybe) {
+  // handle_control stashes every answer, ours included.
+  wait_for(
+      Wait{Wait::Answer, conn_id, seq}, [&] { return stash.count(seq) > 0; },
+      [this](const Message& m) { handle_control(m); },
+      [&] {
         // The request, a rep relay, or the answer broadcast was lost (or
         // the exporter is just slow). Re-sending is idempotent end to end:
         // reps and workers replay cached answers, so every rank may retry
         // — which also covers the loss of rank 0's original request.
-        if (++retries > kMaxRetries) {
-          throw util::TimeoutError("import on connection " + std::to_string(conn_id) +
-                                   " seq " + std::to_string(seq) + ": no answer after " +
-                                   std::to_string(retries - 1) + " retries at process " +
-                                   std::to_string(ctx_.id()));
-        }
         ++counters_.ft.request_retries;
-        maybe_reparent();
         RequestMsg req{static_cast<std::uint32_t>(conn_id), seq, requested};
         ctx_.send(route_.up_conn(conn_id), kTagImportRequest, req.encode());
-        timeout = std::min(timeout * kRetryBackoffFactor, options_.backoff_cap_seconds());
-        continue;
-      }
-    }
-    const Message& m = *maybe;
-    last_rep_seen_ = ctx_.now();
-    if (m.tag >= kTagImportAnswerBase && m.tag < kTagDataBase) {
-      stash_answer(AnswerMsg::decode(m.payload));
-      if (auto stashed = consume_stashed()) return *stashed;
-      continue;
-    }
-    if (m.tag == kTagShutdownProc) {
-      // Cannot happen while an import is outstanding on a live system;
-      // remember it defensively for finalize().
-      note_shutdown(m.payload);
-      continue;
-    }
-    handle_control(m);
-  }
+        return true;
+      });
+  return stash.extract(seq).mapped();
 }
 
 ExportRegionState* CouplingRuntime::state_for_conn(std::uint32_t conn) {
@@ -330,7 +329,17 @@ ExportRegionState* CouplingRuntime::state_for_conn(std::uint32_t conn) {
 }
 
 void CouplingRuntime::handle_control(const Message& m) {
+  last_rep_seen_ = ctx_.now();
   switch (m.tag) {
+    case kTagShutdownProc: {
+      // One shard reports that every connected program finished; the
+      // worker is done once all shards have (before finalize() it keeps
+      // exporting). Nothing is freed, so no pressure change to signal.
+      Reader r(m.payload);
+      shutdown_shards_.insert(static_cast<int>(r.get<std::uint32_t>()));
+      if (static_cast<int>(shutdown_shards_.size()) >= route_.shards) shutdown_seen_ = true;
+      return;
+    }
     case kTagProcForward: {
       const RequestMsg req = RequestMsg::decode(m.payload);
       ExportRegionState* state = state_for_conn(req.conn);
@@ -379,8 +388,9 @@ void CouplingRuntime::handle_control(const Message& m) {
       break;
     default:
       if (m.tag >= kTagImportAnswerBase && m.tag < kTagDataBase) {
-        // Answer broadcast arriving outside an import_wait (e.g. a retried
-        // request answered after the original already completed).
+        // The awaited answer, or one for another request or connection, or
+        // a late duplicate (a retried request answered after the original
+        // already completed).
         stash_answer(AnswerMsg::decode(m.payload));
         break;
       }
@@ -397,16 +407,7 @@ void CouplingRuntime::drain_control() {
   // Consume rep->proc traffic in arrival order; tag wildcarding preserves
   // the FIFO the skip rules rely on (a request's buddy-help precedes the
   // next forwarded request in the rep's send order).
-  while (auto m = ctx_.try_recv(route_.control_match())) {
-    last_rep_seen_ = ctx_.now();
-    if (m->tag == kTagShutdownProc) {
-      // All connected programs already finished; remember it for
-      // finalize()'s service loop and keep exporting.
-      note_shutdown(m->payload);
-      continue;
-    }
-    handle_control(*m);
-  }
+  while (auto m = ctx_.try_recv(route_.control_match())) handle_control(*m);
 }
 
 void CouplingRuntime::maybe_reparent() {
@@ -422,12 +423,6 @@ void CouplingRuntime::maybe_reparent() {
     ctx_.send(route_.base + s, kTagMetaNudge, transport::empty_payload());
   }
   last_rep_seen_ = ctx_.now();  // restart the window before declaring the rep dead
-}
-
-void CouplingRuntime::note_shutdown(const transport::Payload& payload) {
-  Reader r(payload);
-  shutdown_shards_.insert(static_cast<int>(r.get<std::uint32_t>()));
-  if (static_cast<int>(shutdown_shards_.size()) >= route_.shards) shutdown_seen_ = true;
 }
 
 void CouplingRuntime::send_meta_ack(int shard) {
@@ -480,37 +475,31 @@ void CouplingRuntime::export_region(const std::string& name, Timestamp t,
       return need > 0 && need <= governor_->stats().charged_bytes;
     };
     shed_shortfall();
-    // In failure-tolerant mode the stall is bounded: past the deadline we
-    // assume the importing program died without a departure notice,
-    // force-close its connections (releasing the snapshots it pinned) and
-    // continue in degraded mode. The deadline is absolute from stall
-    // entry — heartbeats prove the rep is alive, not that buffer space
-    // will ever be freed.
-    const bool bounded = options_.failure_tolerance() && options_.stall_timeout_seconds > 0;
-    const double stall_deadline = ctx_.now() + options_.stall_timeout_seconds;
-    while (over_limit() && region.state->safe_to_stall() && !shutdown_seen_) {
-      signal_pressure();
-      const double stall_start = ctx_.now();
-      std::optional<Message> m;
-      if (bounded) {
-        m = ctx_.recv_until(route_.control_match(), stall_deadline);
-        if (!m) {
+    double stall_start = 0;
+    wait_for(
+        Wait{Wait::BufferSpace},
+        [&] {
+          if (!over_limit() || !region.state->safe_to_stall() || shutdown_seen_) return true;
+          signal_pressure();
+          stall_start = ctx_.now();
+          return false;
+        },
+        [&](const Message& m) {
+          handle_control(m);
+          region.state->record_stall(ctx_.now() - stall_start);
+          shed_shortfall();
+        },
+        [&] {
+          // In failure-tolerant mode the stall is bounded: past the deadline
+          // we assume the importing program died without a departure
+          // notice, force-close its connections (releasing the snapshots it
+          // pinned) and continue in degraded mode. The deadline is absolute
+          // from stall entry — heartbeats prove the rep is alive, not that
+          // buffer space will ever be freed.
           region.state->record_stall(ctx_.now() - stall_start);
           region.state->degrade_open_conns(ctx_);
-          break;
-        }
-      } else {
-        m = ctx_.recv(route_.control_match());
-      }
-      last_rep_seen_ = ctx_.now();
-      if (m->tag == kTagShutdownProc) {
-        note_shutdown(m->payload);
-      } else {
-        handle_control(*m);
-      }
-      region.state->record_stall(ctx_.now() - stall_start);
-      shed_shortfall();
-    }
+          return false;
+        });
   }
 
   region.state->on_export(t, data.data(), ctx_);
@@ -633,46 +622,26 @@ void CouplingRuntime::finalize() {
   // Service loop: this process's part of the region data may still be
   // requested (a slower importer catching up); keep answering until the
   // rep confirms every connected program finished.
-  if (!options_.failure_tolerance()) {
-    while (!shutdown_seen_) {
-      Message m = ctx_.recv(route_.control_match());
-      if (m.tag == kTagShutdownProc) {
-        note_shutdown(m.payload);
-        continue;
-      }
-      handle_control(m);
-    }
-  } else {
-    // Failure-tolerant service loop: tick periodically to (a) re-send our
-    // end-of-stream notice in case it was lost and (b) detect that the rep
-    // itself went away (no traffic — not even heartbeats — for the
-    // departure window), in which case we give up waiting for the global
-    // shutdown and finish degraded rather than hang forever.
-    double tick = options_.retry_timeout_seconds * (1.0 + 0.1 * rank_);
-    while (!shutdown_seen_) {
-      auto m = ctx_.recv_until(route_.control_match(), ctx_.now() + tick);
-      if (!m) {
-        // Re-parent before the departure check: silence from a dead leaf
-        // sub-rep must not read as the rep itself having departed.
-        maybe_reparent();
+  wait_for(
+      Wait{Wait::Shutdown}, [&] { return shutdown_seen_; },
+      [this](const Message& m) { handle_control(m); },
+      [&] {
+        // A failure-tolerant tick (a) detects that the rep itself went away
+        // (no traffic — not even heartbeats — for the departure window), in
+        // which case we give up waiting for the global shutdown and finish
+        // degraded rather than hang forever, and otherwise (b) re-sends our
+        // end-of-stream notice in case it was lost. wait_for re-parents
+        // first: silence from a dead leaf sub-rep must not read as the rep
+        // itself having departed.
         if (options_.departure_timeout_seconds > 0 &&
             ctx_.now() - last_rep_seen_ > options_.departure_timeout_seconds) {
           counters_.ft.rep_departed = true;
-          break;
+          return false;
         }
         ++counters_.ft.conn_done_retries;
         send_conn_done();
-        tick = std::min(tick * kRetryBackoffFactor, options_.backoff_cap_seconds());
-        continue;
-      }
-      last_rep_seen_ = ctx_.now();
-      if (m->tag == kTagShutdownProc) {
-        note_shutdown(m->payload);
-        continue;
-      }
-      handle_control(*m);
-    }
-  }
+        return true;
+      });
   counters_.finished_at = ctx_.now();
 }
 

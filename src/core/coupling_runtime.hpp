@@ -122,8 +122,28 @@ class CouplingRuntime {
     ImportRegionStats stats;
   };
 
+  /// What a blocked worker waits for: the blocking points of
+  /// docs/PROTOCOL.md. A wait that gives up names it in its TimeoutError.
+  struct Wait {
+    enum Kind { Geometry, Answer, BufferSpace, Shutdown } kind;
+    int conn = -1;          ///< answer wait: the import connection
+    std::uint32_t seq = 0;  ///< answer wait: the request
+  };
+
+  /// The one blocking wait. Until `done()` holds (it runs before every
+  /// receive), receives rep->proc control traffic and hands each message
+  /// to `on_message`; in failure-tolerant mode a silent deadline calls
+  /// `on_tick()`, which returns false to end the wait. The tick rules of
+  /// each kind are described at the definition.
+  template <class Done, class OnMessage, class OnTick>
+  void wait_for(const Wait& what, Done&& done, OnMessage&& on_message, OnTick&& on_tick);
+
   /// Processes all queued rep->proc control traffic in arrival order.
   void drain_control();
+
+  /// The per-message step of every wait but the geometry wait, and of
+  /// drain_control: notes that the rep is alive, records a ShutdownProc,
+  /// and serves everything else.
   void handle_control(const runtime::Message& m);
   ExportRegionState* state_for_conn(std::uint32_t conn);
 
@@ -143,18 +163,12 @@ class CouplingRuntime {
   /// on). No-op when already direct or departure detection is off.
   void maybe_reparent();
 
-  /// Records one ShutdownProc from a rep shard (the payload names the
-  /// shard); shutdown_seen_ flips once every shard has reported.
-  void note_shutdown(const transport::Payload& payload);
-
   /// Acknowledges (or re-acknowledges) shard `shard`'s geometry broadcast.
   void send_meta_ack(int shard);
 
   /// Blocks for the answer to request `seq` on `region`, serving framework
   /// control traffic meanwhile (deadlock freedom for bidirectional
-  /// couplings) and stashing answers that belong to other requests or
-  /// connections. In failure-tolerant mode the wait times out and re-sends
-  /// the request with exponential backoff (every rank retries, staggered).
+  /// couplings). In failure-tolerant mode every tick re-sends the request.
   AnswerMsg await_answer(ImportRegion& region, std::uint32_t seq, Timestamp requested);
 
   runtime::ProcessContext& ctx_;

@@ -45,8 +45,10 @@ struct MemoryOptions {
 /// FrameworkOptions::backoff_cap_seconds().
 inline constexpr double kRetryBackoffFactor = 2.0;
 
-/// Retries per blocking wait before giving up with util::TimeoutError; the
-/// reps' resend loops presume delivery after as many.
+/// Retries of a worker's geometry or answer wait before it gives up with
+/// util::TimeoutError (the shutdown wait has no limit: the departure
+/// window bounds it, or nothing does); the reps' resend ledgers presume
+/// delivery after as many.
 inline constexpr int kMaxRetries = 64;
 
 struct FrameworkOptions {

@@ -19,6 +19,28 @@ using transport::kAnyTag;
 using transport::Reader;
 using transport::Writer;
 
+namespace {
+
+/// Heartbeat-tick resends of one kind of acknowledged message, keyed per
+/// destination or request. A key is re-sent on every tick until acked;
+/// after kMaxRetries resends delivery is presumed (the odds of that many
+/// independent losses are negligible), so shutdown always completes.
+template <class Key>
+struct ResendLedger {
+  std::set<Key> acked;  ///< acknowledged, or presumed delivered
+  std::map<Key, int> resends;
+
+  /// True when `key` is owed a resend on this tick (and counts it).
+  bool due(const Key& key) {
+    if (acked.count(key)) return false;
+    if (++resends[key] <= kMaxRetries) return true;
+    acked.insert(key);
+    return false;
+  }
+};
+
+}  // namespace
+
 RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
                   const DeploymentLayout& layout, const std::string& program_name,
                   FrameworkOptions options, int shard) {
@@ -60,22 +82,22 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
   std::map<std::string, RegionMeta> own_imports;
   std::map<int, RegionMeta> peer_meta;
   transport::Payload meta_payload;  ///< kept for nudge-triggered resends
-  const std::size_t participated = export_conns.size() + import_conns.size();
+  // Every connection this shard takes part in, exports first: the order
+  // geometry is shipped and re-shipped in.
+  std::vector<int> own_conns = export_conns;
+  own_conns.insert(own_conns.end(), import_conns.begin(), import_conns.end());
   // Tolerant mode: workers acknowledge the meta broadcast, and the rep may
   // not exit while any worker still lacks the geometry — a peer program
   // finishing early would otherwise kill the rep mid-recovery and strand a
   // worker whose broadcast was dropped in an unanswerable commit() retry
-  // loop. Un-acked workers are re-broadcast to on heartbeat ticks; after
-  // kMaxRetries delivery is presumed (termination stays guaranteed).
-  std::set<ProcId> meta_acked;
-  std::map<ProcId, int> meta_resends;
+  // loop. Un-acked workers are re-broadcast to on heartbeat ticks.
+  ResendLedger<ProcId> meta_resend;
   // The rep-to-rep geometry shipment needs the same treatment: a peer
   // program can run to completion (zero imports) and take its rep down
   // while our PeerRegionMeta to it — or, worse, its shipment to us — is
   // still lost in flight. Each shipment is therefore acknowledged per
   // connection, re-shipped on heartbeat ticks, and gates this rep's exit.
-  std::set<int> peer_meta_acked;
-  std::map<int, int> peer_meta_resends;
+  ResendLedger<int> peer_meta_resend;
 
   // --- shutdown bookkeeping -------------------------------------------------
   std::set<int> import_conns_done;   ///< own rank(s) said "done importing"
@@ -83,24 +105,22 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
   std::set<int> export_conns_finished;  ///< peer rep said "done requesting"
   // Failure-tolerant mode only: ConnFinished is retried (on the heartbeat
   // tick) until the exporter rep acknowledges it, so a lost rep-to-rep
-  // notification cannot wedge the exporter program. Bounded retries keep
-  // termination guaranteed even if every ack is lost.
+  // notification cannot wedge the exporter program.
   const bool reliable_finish = options.failure_tolerance();
-  std::set<int> conn_finished_acked;
-  std::map<int, int> conn_finished_resends;
+  ResendLedger<int> conn_finished_resend;
 
   // A rank that never responded to a forwarded request may never have
   // received it — and a contributing silent rank never ships its data
   // piece, wedging the importer's transfer even though the collective
   // answer was decided by the other ranks. In failure-tolerant mode the
   // rep re-forwards to exactly the silent ranks on heartbeat ticks and
-  // refuses to shut down while any remain (bounded by kMaxRetries).
-  std::map<std::pair<int, std::uint32_t>, int> forward_resends;
-  std::set<std::pair<int, std::uint32_t>> forward_abandoned;
+  // refuses to shut down while any remain (a response ends the resends;
+  // `acked` holds only the requests given up on).
+  ResendLedger<std::pair<int, std::uint32_t>> forward_resend;
   auto silent_ranks_remain = [&] {
     for (const auto& [conn, agg] : aggregators) {
       for (const auto& u : agg.unresponsive_ranks()) {
-        if (!forward_abandoned.count({conn, u.request.seq})) return true;
+        if (!forward_resend.acked.count({conn, u.request.seq})) return true;
       }
     }
     return false;
@@ -185,12 +205,11 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
   };
 
   auto ship_peer_meta = [&] {
-    for (int conn : export_conns) ship_conn_meta(conn);
-    for (int conn : import_conns) ship_conn_meta(conn);
+    for (int conn : own_conns) ship_conn_meta(conn);
   };
 
   auto maybe_broadcast_meta = [&] {
-    if (meta_broadcast || !defs_received || peer_meta.size() != participated) return;
+    if (meta_broadcast || !defs_received || peer_meta.size() != own_conns.size()) return;
     Writer w;
     // The shard id lets workers collect and merge every shard's broadcast.
     w.put<std::uint32_t>(static_cast<std::uint32_t>(shard));
@@ -238,17 +257,19 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
   };
 
   auto all_finished = [&] {
-    if (reliable_finish && conn_finished_acked.size() < import_conns_done.size()) return false;
+    if (reliable_finish && conn_finished_resend.acked.size() < import_conns_done.size()) {
+      return false;
+    }
     // Only gate on silent ranks when heartbeat ticks exist to repair them.
     if (reliable_finish && options.heartbeat_interval_seconds > 0 && silent_ranks_remain()) {
       return false;
     }
     if (reliable_finish && options.heartbeat_interval_seconds > 0 &&
-        static_cast<int>(meta_acked.size()) < pl.nprocs) {
+        static_cast<int>(meta_resend.acked.size()) < pl.nprocs) {
       return false;
     }
     if (reliable_finish && options.heartbeat_interval_seconds > 0 &&
-        peer_meta_acked.size() < participated) {
+        peer_meta_resend.acked.size() < own_conns.size()) {
       return false;
     }
     return meta_broadcast && import_side_done() &&
@@ -268,8 +289,7 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
           ++result.duplicates_ignored;
           ship_peer_meta();
           std::set<ProcId> peers;
-          for (int conn : export_conns) peers.insert(peer_rep_of(conn));
-          for (int conn : import_conns) peers.insert(peer_rep_of(conn));
+          for (int conn : own_conns) peers.insert(peer_rep_of(conn));
           for (ProcId peer : peers) {
             ctx.send(peer, kTagMetaNudge, transport::empty_payload());
           }
@@ -324,7 +344,7 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
       }
       case kTagPeerMetaAck: {
         const ConnMsg msg = ConnMsg::decode(payload);
-        peer_meta_acked.insert(static_cast<int>(msg.conn));
+        peer_meta_resend.acked.insert(static_cast<int>(msg.conn));
         break;
       }
       case kTagMetaNudge: {
@@ -451,11 +471,11 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
       }
       case kTagConnFinishedAck: {
         const ConnMsg msg = ConnMsg::decode(payload);
-        conn_finished_acked.insert(static_cast<int>(msg.conn));
+        conn_finished_resend.acked.insert(static_cast<int>(msg.conn));
         break;
       }
       case kTagMetaAck:
-        meta_acked.insert(src);
+        meta_resend.acked.insert(src);
         break;
       case kTagProcPressure:
         on_proc_pressure(src, payload);
@@ -515,59 +535,33 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
       if (!maybe) {
         down.bcast(kTagRepHeartbeat, transport::empty_payload());
         ++result.heartbeats_sent;
-        // Re-send un-acked ConnFinished notifications on the same tick;
-        // after kMaxRetries presume delivery (the odds of that many
-        // independent losses are negligible) so shutdown always completes.
+        // Re-send every un-acked message of the tolerant protocol on the
+        // same tick: geometry, peer geometry, ConnFinished, then forwards
+        // to silent ranks.
         if (reliable_finish) {
-          if (meta_broadcast && static_cast<int>(meta_acked.size()) < pl.nprocs) {
+          if (meta_broadcast && static_cast<int>(meta_resend.acked.size()) < pl.nprocs) {
             for (ProcId proc : pl.proc_ids()) {
-              if (meta_acked.count(proc)) continue;
-              if (++meta_resends[proc] > kMaxRetries) {
-                meta_acked.insert(proc);
-                continue;
-              }
+              if (!meta_resend.due(proc)) continue;
               down.to_rank(static_cast<int>(proc - pl.first), kTagRegionMetaBcast,
                            meta_payload);
               ++result.meta_resends;
             }
           }
-          if (defs_received && peer_meta_acked.size() < participated) {
-            for (int conn : export_conns) {
-              if (peer_meta_acked.count(conn)) continue;
-              if (++peer_meta_resends[conn] > kMaxRetries) {
-                peer_meta_acked.insert(conn);
-                continue;
-              }
-              ship_conn_meta(conn);
-              ++result.meta_resends;
-            }
-            for (int conn : import_conns) {
-              if (peer_meta_acked.count(conn)) continue;
-              if (++peer_meta_resends[conn] > kMaxRetries) {
-                peer_meta_acked.insert(conn);
-                continue;
-              }
+          if (defs_received && peer_meta_resend.acked.size() < own_conns.size()) {
+            for (int conn : own_conns) {
+              if (!peer_meta_resend.due(conn)) continue;
               ship_conn_meta(conn);
               ++result.meta_resends;
             }
           }
           for (int conn : import_conns_done) {
-            if (conn_finished_acked.count(conn)) continue;
-            if (++conn_finished_resends[conn] > kMaxRetries) {
-              conn_finished_acked.insert(conn);
-              continue;
-            }
+            if (!conn_finished_resend.due(conn)) continue;
             ctx.send(peer_rep_of(conn), kTagConnFinished,
                      ConnMsg{static_cast<std::uint32_t>(conn)}.encode());
           }
           for (const auto& [conn, agg] : aggregators) {
             for (const auto& u : agg.unresponsive_ranks()) {
-              const std::pair<int, std::uint32_t> key{conn, u.request.seq};
-              if (forward_abandoned.count(key)) continue;
-              if (++forward_resends[key] > kMaxRetries) {
-                forward_abandoned.insert(key);
-                continue;
-              }
+              if (!forward_resend.due({conn, u.request.seq})) continue;
               const transport::Payload payload = u.request.encode();
               for (int rank : u.ranks) down.to_rank(rank, kTagProcForward, payload);
               ++result.forward_resends;

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace ccf::util {
 
@@ -45,13 +46,25 @@ class TimeoutError : public Error {
   explicit TimeoutError(const std::string& what) : Error(what) {}
 };
 
+/// `file` (a __FILE__) relative to the source tree's root, so messages
+/// read the same from every checkout: this header is src/util/check.hpp,
+/// and whatever precedes that in its own __FILE__ is the root.
+constexpr const char* source_path(const char* file) {
+  constexpr std::string_view self = __FILE__;
+  constexpr std::string_view tail = "src/util/check.hpp";
+  constexpr std::string_view root =
+      self.ends_with(tail) ? self.substr(0, self.size() - tail.size()) : std::string_view{};
+  return std::string_view(file).starts_with(root) ? file + root.size() : file;
+}
+
 }  // namespace ccf::util
 
 #define CCF_THROW_IMPL(ExcType, expr_text, msg_stream)                     \
   do {                                                                     \
     std::ostringstream ccf_oss_;                                           \
-    ccf_oss_ << "[" << __FILE__ << ":" << __LINE__ << "] " << (expr_text)  \
-             << ": " << msg_stream; /* NOLINT */                           \
+    ccf_oss_ << "[" << ::ccf::util::source_path(__FILE__) << ":"           \
+             << __LINE__ << "] " << (expr_text) << ": "                    \
+             << msg_stream; /* NOLINT */                                   \
     throw ExcType(ccf_oss_.str());                                         \
   } while (0)
 

@@ -6,18 +6,18 @@
 #include <thread>
 
 #include "core/buffer_pool.hpp"
-#include "fake_context.hpp"
+#include "runtime/scripted_context.hpp"
 #include "transport/serialize.hpp"
 
 namespace ccf::core {
 namespace {
 
-using testing::FakeContext;
+using runtime::ScriptedContext;
 
 std::vector<double> block(std::size_t n, double v) { return std::vector<double>(n, v); }
 
 TEST(BufferPoolTest, StoreCopiesDataAndChargesCost) {
-  FakeContext ctx;
+  ScriptedContext ctx;
   BufferPool pool;
   auto src = block(100, 3.5);
   const double cost = pool.store(1.0, src.data(), src.size(), 0b1, ctx);
@@ -31,7 +31,7 @@ TEST(BufferPoolTest, StoreCopiesDataAndChargesCost) {
 }
 
 TEST(BufferPoolTest, RejectsDuplicateAndEmptyMask) {
-  FakeContext ctx;
+  ScriptedContext ctx;
   BufferPool pool;
   auto src = block(4, 1.0);
   pool.store(1.0, src.data(), 4, 0b1, ctx);
@@ -40,7 +40,7 @@ TEST(BufferPoolTest, RejectsDuplicateAndEmptyMask) {
 }
 
 TEST(BufferPoolTest, DropFreesOnlyWhenNoConnectionNeedsIt) {
-  FakeContext ctx;
+  ScriptedContext ctx;
   BufferPool pool;
   auto src = block(4, 1.0);
   pool.store(1.0, src.data(), 4, 0b11, ctx);  // needed by conns 0 and 1
@@ -60,7 +60,7 @@ TEST(BufferPoolTest, DropAbsentIsNoop) {
 }
 
 TEST(BufferPoolTest, DropBelowFreesRangeAscending) {
-  FakeContext ctx;
+  ScriptedContext ctx;
   BufferPool pool;
   auto src = block(4, 1.0);
   for (double t : {1.0, 2.0, 3.0, 4.0}) pool.store(t, src.data(), 4, 0b1, ctx);
@@ -72,7 +72,7 @@ TEST(BufferPoolTest, DropBelowFreesRangeAscending) {
 }
 
 TEST(BufferPoolTest, UnnecessaryTimeCountsOnlyUnsentFrees) {
-  FakeContext ctx;
+  ScriptedContext ctx;
   BufferPool pool;
   auto src = block(1000, 1.0);
   pool.store(1.0, src.data(), 1000, 0b1, ctx);
@@ -89,7 +89,7 @@ TEST(BufferPoolTest, UnnecessaryTimeCountsOnlyUnsentFrees) {
 }
 
 TEST(BufferPoolTest, PeakAndLiveTracking) {
-  FakeContext ctx;
+  ScriptedContext ctx;
   BufferPool pool;
   auto src = block(10, 1.0);
   pool.store(1.0, src.data(), 10, 0b1, ctx);
@@ -112,7 +112,7 @@ TEST(BufferPoolTest, SkipCounter) {
 }
 
 TEST(BufferPoolTest, BufferedBelowFiltersByConnection) {
-  FakeContext ctx;
+  ScriptedContext ctx;
   BufferPool pool;
   auto src = block(4, 1.0);
   pool.store(1.0, src.data(), 4, 0b01, ctx);
@@ -131,7 +131,7 @@ TEST(BufferPoolTest, SnapshotOfAbsentThrows) {
 }
 
 TEST(BufferPoolTest, WirePayloadIsPutVectorFrameAliasingTheSnapshot) {
-  FakeContext ctx;
+  ScriptedContext ctx;
   BufferPool pool;
   auto src = block(10, 2.25);
   pool.store(1.0, src.data(), 10, 0b1, ctx);
@@ -152,7 +152,7 @@ TEST(BufferPoolTest, WirePayloadIsPutVectorFrameAliasingTheSnapshot) {
 }
 
 TEST(BufferPoolTest, ArenaRecyclesFreedFrames) {
-  FakeContext ctx;
+  ScriptedContext ctx;
   BufferPool pool;
   auto src = block(64, 1.0);
   pool.store(1.0, src.data(), 64, 0b1, ctx);
@@ -169,7 +169,7 @@ TEST(BufferPoolTest, ArenaRecyclesFreedFrames) {
 }
 
 TEST(BufferPoolTest, InFlightPayloadBlocksRecycling) {
-  FakeContext ctx;
+  ScriptedContext ctx;
   BufferPool pool;
   auto src = block(32, 7.5);
   pool.store(1.0, src.data(), 32, 0b1, ctx);
@@ -195,7 +195,7 @@ TEST(BufferPoolTest, FrameReleasedOnAnotherThreadIsReusedOnlyAfterItsReads) {
   // then frees the entry and recycles the frame. The flag below orders
   // nothing, so under ThreadSanitizer this checks that the pool itself
   // orders the reader's reads before the next store's writes.
-  FakeContext ctx;
+  ScriptedContext ctx;
   BufferPool pool;
   auto src = block(32, 7.5);
   pool.store(1.0, src.data(), 32, 0b1, ctx);

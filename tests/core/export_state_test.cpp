@@ -5,12 +5,12 @@
 #include <gtest/gtest.h>
 
 #include "core/export_state.hpp"
-#include "fake_context.hpp"
+#include "runtime/scripted_context.hpp"
 
 namespace ccf::core {
 namespace {
 
-using testing::FakeContext;
+using runtime::ScriptedContext;
 
 constexpr ProcId kRep = 99;
 const ControlRoute kRepRoute{kRep, 1, 0, false};  ///< straight to the rep, one shard
@@ -66,7 +66,7 @@ class ExportStateTest : public ::testing::Test {
     return out;
   }
 
-  FakeContext ctx_;
+  ScriptedContext ctx_;
 };
 
 TEST_F(ExportStateTest, BuffersEverythingBeforeAnyRequest) {

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "core/system.hpp"
@@ -138,6 +139,25 @@ RunResult run_system(const Workload& wl, const FrameworkOptions& fw,
   return result;
 }
 
+/// One process's fault-tolerance counters and end time: request_retries,
+/// stale_answers, heartbeats, commit_retries, conn_done_retries,
+/// reparents, rep_departed, finished_at.
+using FtRow = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t,
+                         std::uint64_t, std::uint64_t, bool, double>;
+
+/// Every process's FtRow, exporters first.
+std::vector<FtRow> ft_rows(const RunResult& run) {
+  std::vector<FtRow> rows;
+  for (const auto* procs : {&run.exporter_stats, &run.importer_stats}) {
+    for (const ProcStats& s : *procs) {
+      rows.emplace_back(s.ft.request_retries, s.ft.stale_answers, s.ft.heartbeats,
+                        s.ft.commit_retries, s.ft.conn_done_retries, s.ft.reparents,
+                        s.ft.rep_departed, s.finished_at);
+    }
+  }
+  return rows;
+}
+
 void expect_same_answers(const RunResult& run, const std::vector<Answer>& reference,
                          const std::string& label) {
   for (std::size_t rank = 0; rank < run.per_rank.size(); ++rank) {
@@ -226,6 +246,18 @@ TEST(Chaos, ReplaySameSeedProducesIdenticalFaultSchedule) {
   EXPECT_EQ(inj_a->stats().delayed, inj_b->stats().delayed);
   ASSERT_FALSE(a.per_rank.empty());
   expect_same_answers(b, a.per_rank[0], "replay");
+  // Every process's retry counters and end time, recorded from this
+  // seeded run: a change to any blocking wait's deadlines, tick actions or
+  // departure check moves some of them (virtual time is exact).
+  const std::vector<FtRow> golden = {
+      {0, 0, 2, 1, 15, 0, true, 11.587610180847747},
+      {0, 0, 3, 1, 3, 0, false, 1.8083441807659209},
+      {0, 0, 4, 1, 3, 0, false, 1.6886026811676831},
+      {8, 7, 3, 1, 2, 0, false, 1.8384277158013196},
+      {3, 6, 1, 2, 15, 0, true, 12.055864872560823},
+  };
+  EXPECT_EQ(ft_rows(a), golden);
+  EXPECT_EQ(ft_rows(b), golden);
 }
 
 TEST(Chaos, DroppedShutdownIsSurvivedViaDepartureDetection) {

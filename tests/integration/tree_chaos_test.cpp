@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "core/system.hpp"
@@ -72,6 +73,7 @@ bool control_plane_only(transport::ProcId, transport::ProcId, transport::Tag tag
 struct RunResult {
   std::vector<std::vector<Answer>> per_rank;
   std::vector<ProcStats> exporter_stats;
+  std::vector<ProcStats> importer_stats;
   std::uint64_t faults_injected = 0;
 };
 
@@ -132,11 +134,33 @@ RunResult run_system(const Workload& wl, const FrameworkOptions& fw,
   for (int r = 0; r < wl.exporter_procs; ++r) {
     result.exporter_stats.push_back(system.proc_stats("E", r));
   }
+  for (int r = 0; r < wl.importer_procs; ++r) {
+    result.importer_stats.push_back(system.proc_stats("I", r));
+  }
   if (faults) {
     const auto fs = faults->stats();
     result.faults_injected = fs.dropped + fs.duplicated + fs.delayed;
   }
   return result;
+}
+
+/// One process's fault-tolerance counters and end time: request_retries,
+/// stale_answers, heartbeats, commit_retries, conn_done_retries,
+/// reparents, rep_departed, finished_at.
+using FtRow = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t,
+                         std::uint64_t, std::uint64_t, bool, double>;
+
+/// Every process's FtRow, exporters first.
+std::vector<FtRow> ft_rows(const RunResult& run) {
+  std::vector<FtRow> rows;
+  for (const auto* procs : {&run.exporter_stats, &run.importer_stats}) {
+    for (const ProcStats& s : *procs) {
+      rows.emplace_back(s.ft.request_retries, s.ft.stale_answers, s.ft.heartbeats,
+                        s.ft.commit_retries, s.ft.conn_done_retries, s.ft.reparents,
+                        s.ft.rep_departed, s.finished_at);
+    }
+  }
+  return rows;
 }
 
 void expect_same_answers(const RunResult& run, const std::vector<Answer>& reference,
@@ -248,6 +272,38 @@ TEST(TreeChaos, PipelinedPartialFramesConvergeAcrossFlushThresholds) {
                               std::to_string(seed));
     }
   }
+}
+
+TEST(TreeChaos, ReplaySameSeedReproducesEveryProcessCounter) {
+  // The tree twin of Chaos.ReplaySameSeedProducesIdenticalFaultSchedule:
+  // the same seeded control-plane chaos over a fan-in-2 tree.
+  const Workload wl = default_workload();
+  const RunResult reference = run_system(wl, tolerant_options(), nullptr);
+  FaultPlan plan;
+  plan.seed = 7;
+  plan.drop_prob = 0.2;
+  plan.duplicate_prob = 0.2;
+  plan.delay_prob = 0.2;
+  plan.delay_min_seconds = 0.02;
+  plan.delay_max_seconds = 0.2;
+  plan.eligible = control_plane_only;
+  const RunResult a = run_system(wl, tolerant_options(), std::make_shared<FaultInjector>(plan));
+  const RunResult b = run_system(wl, tolerant_options(), std::make_shared<FaultInjector>(plan));
+  expect_same_answers(a, reference.per_rank[0], "tree replay a");
+  expect_same_answers(b, reference.per_rank[0], "tree replay b");
+  // Recorded from this seeded run, as in the flat test.
+  const std::vector<FtRow> golden = {
+      {0, 0, 5, 1, 4, 0, false, 2.508999999999999},
+      {0, 0, 4, 1, 4, 0, false, 2.508999999999999},
+      {0, 0, 4, 0, 4, 0, false, 2.508999999999999},
+      {0, 0, 8, 2, 3, 0, false, 2.508999999999999},
+      {0, 0, 4, 2, 4, 0, false, 2.508999999999999},
+      {0, 0, 4, 2, 3, 0, false, 2.508999999999999},
+      {7, 5, 4, 2, 15, 0, true, 11.801000000000002},
+      {9, 6, 2, 0, 1, 0, false, 1.5413457399399333},
+  };
+  EXPECT_EQ(ft_rows(a), golden);
+  EXPECT_EQ(ft_rows(b), golden);
 }
 
 TEST(TreeChaos, SubRepDeathMidRunReparentsAndConverges) {

@@ -29,6 +29,15 @@ TEST(Check, RequireThrowsInvalidArgument) {
   EXPECT_NO_THROW(CCF_REQUIRE(true, "fine"));
 }
 
+TEST(Check, MessageNamesTheFileRelativeToTheSourceTree) {
+  try {
+    CCF_REQUIRE(false, "nope");
+    FAIL() << "should have thrown";
+  } catch (const InvalidArgument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("[tests/util/misc_test.cpp:", 0), 0u) << e.what();
+  }
+}
+
 TEST(Check, ExceptionHierarchy) {
   EXPECT_THROW(throw ProtocolViolation("x"), Error);
   EXPECT_THROW(throw InternalError("x"), std::runtime_error);
