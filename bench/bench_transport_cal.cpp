@@ -323,7 +323,7 @@ int main(int argc, char** argv) {
   const Fit shm = fit_rows(shm_rows);
   const Fit tcp = fit_rows(tcp_rows);
 
-  const std::size_t inline_bytes = transport::TransportOptions{}.shm_inline_bytes;
+  const std::size_t inline_bytes = transport::real::kShmInlineBytes;
   if (json) {
     emit_json(rows, pipes, shm, tcp, inline_bytes);
     return 0;

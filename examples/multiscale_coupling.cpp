@@ -89,8 +89,10 @@ int main(int argc, char** argv) {
               "skips", "transfers", "helps", "T_ub ms");
   for (int r = 0; r < 4; ++r) {
     const auto& s = system.proc_stats("producer", r).exports.at(0);
-    std::printf("%-10s %-9llu %-9llu %-9llu %-10llu %-11llu %-8.3f\n",
-                (r == 3 ? "p3 (slow)" : ("p" + std::to_string(r)).c_str()),
+    std::string name = "p";
+    name += std::to_string(r);
+    if (r == 3) name += " (slow)";
+    std::printf("%-10s %-9llu %-9llu %-9llu %-10llu %-11llu %-8.3f\n", name.c_str(),
                 static_cast<unsigned long long>(s.exports),
                 static_cast<unsigned long long>(s.buffer.stores),
                 static_cast<unsigned long long>(s.buffer.skips),

@@ -74,7 +74,7 @@ struct ConnectionSpec {
   /// dimensions must equal the imported region's dimensions. Config file
   /// syntax appends 4 integers: row_begin row_end col_begin col_end.
   /// Absent -> the whole exporter domain is transferred (dims must match).
-  std::optional<dist::Box> exporter_window;
+  std::optional<dist::Box> exporter_window = std::nullopt;
 };
 
 class Config {

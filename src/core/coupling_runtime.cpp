@@ -38,10 +38,9 @@ void send_up_all(runtime::ProcessContext& ctx, const ControlRoute& route, Tag ta
 //     not stampede), backoff, re-parenting, and giving up after
 //     kMaxRetries ticks;
 //   - shutdown: the same without the retry limit (its tick's departure
-//     check bounds it, or nothing does);
-//   - buffer space: only when stall_timeout_seconds > 0, one deadline
-//     absolute from stall entry, without backoff, retry count or
-//     re-parenting.
+//     check bounds it);
+//   - buffer space: one deadline a departure window past stall entry,
+//     without backoff, retry count or re-parenting.
 template <class Done, class OnMessage, class OnTick>
 void CouplingRuntime::wait_for(const Wait& what, Done&& done, OnMessage&& on_message,
                                OnTick&& on_tick) {
@@ -55,14 +54,12 @@ void CouplingRuntime::wait_for(const Wait& what, Done&& done, OnMessage&& on_mes
     return spec;
   };
   const bool stall = what.kind == Wait::BufferSpace;
-  const bool ticks =
-      options_.failure_tolerance() && (!stall || options_.stall_timeout_seconds > 0);
-  const double stall_deadline = ctx_.now() + options_.stall_timeout_seconds;
+  const double stall_deadline = ctx_.now() + options_.departure_window_seconds();
   double timeout = options_.retry_timeout_seconds * (1.0 + 0.1 * rank_);
   int retries = 0;
   while (!done()) {
     std::optional<Message> m;
-    if (!ticks) {
+    if (!options_.failure_tolerance()) {
       m = ctx_.recv(match());
     } else {
       m = ctx_.recv_until(match(), stall ? stall_deadline : ctx_.now() + timeout);
@@ -110,8 +107,7 @@ CouplingRuntime::CouplingRuntime(runtime::ProcessContext& ctx, const Config& con
   }
   if (options_.memory.governed()) {
     governor_ = std::make_unique<mem::MemoryGovernor>(options_.memory.budget_bytes,
-                                                      options_.memory.low_watermark,
-                                                      options_.memory.high_watermark);
+                                                      kLowWatermark, kHighWatermark);
     if (!options_.memory.spill_directory.empty()) {
       spill_ = std::make_unique<mem::SpillStore>(options_.memory.spill_directory);
     }
@@ -411,8 +407,8 @@ void CouplingRuntime::drain_control() {
 }
 
 void CouplingRuntime::maybe_reparent() {
-  if (!route_.has_parent || options_.departure_timeout_seconds <= 0) return;
-  if (ctx_.now() - last_rep_seen_ <= options_.departure_timeout_seconds) return;
+  if (!route_.has_parent) return;
+  if (ctx_.now() - last_rep_seen_ <= options_.departure_window_seconds()) return;
   // Nothing — not even a relayed heartbeat — for a whole departure window:
   // the leaf sub-rep is presumed dead. Fall back to the direct shard layer
   // and announce the switch; any plain own-proc message makes the rep mark
@@ -633,8 +629,7 @@ void CouplingRuntime::finalize() {
         // end-of-stream notice in case it was lost. wait_for re-parents
         // first: silence from a dead leaf sub-rep must not read as the rep
         // itself having departed.
-        if (options_.departure_timeout_seconds > 0 &&
-            ctx_.now() - last_rep_seen_ > options_.departure_timeout_seconds) {
+        if (ctx_.now() - last_rep_seen_ > options_.departure_window_seconds()) {
           counters_.ft.rep_departed = true;
           return false;
         }

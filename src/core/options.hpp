@@ -18,13 +18,6 @@ struct MemoryOptions {
   /// directory it is the paper's finite buffer space (§6).
   std::size_t budget_bytes = 0;
 
-  /// Watermarks as fractions of the budget (0 <= low <= high <= 1).
-  /// Crossing `high` raises collective BufferPressure (PROTOCOL.md);
-  /// pressure clears once usage falls back to `low` — the hysteresis band
-  /// keeps the control traffic from flapping.
-  double low_watermark = 0.5;
-  double high_watermark = 0.9;
-
   /// Directory for the file-backed spill tier. When set, cold-but-still-
   /// matchable snapshots are demoted to disk instead of stalling the
   /// exporter, and restored byte-identically on a late MATCH. "" = no
@@ -40,6 +33,13 @@ struct MemoryOptions {
   bool governed() const { return budget_bytes > 0; }
 };
 
+/// Pressure watermarks as fractions of MemoryOptions::budget_bytes.
+/// Crossing the high one raises collective BufferPressure (PROTOCOL.md);
+/// pressure clears once usage falls back to the low one — the hysteresis
+/// band keeps the control traffic from flapping.
+inline constexpr double kLowWatermark = 0.5;
+inline constexpr double kHighWatermark = 0.9;
+
 /// Failure-tolerant waits (FrameworkOptions::retry_timeout_seconds > 0):
 /// each successive retry waits this factor longer, up to
 /// FrameworkOptions::backoff_cap_seconds().
@@ -47,8 +47,8 @@ inline constexpr double kRetryBackoffFactor = 2.0;
 
 /// Retries of a worker's geometry or answer wait before it gives up with
 /// util::TimeoutError (the shutdown wait has no limit: the departure
-/// window bounds it, or nothing does); the reps' resend ledgers presume
-/// delivery after as many.
+/// window bounds it); the reps' resend ledgers presume delivery after as
+/// many.
 inline constexpr int kMaxRetries = 64;
 
 struct FrameworkOptions {
@@ -65,8 +65,8 @@ struct FrameworkOptions {
   /// Cap on recorded trace events per process.
   std::size_t trace_max_events = 1 << 20;
 
-  /// Buffer governance: the memory budget (finite buffer space),
-  /// watermarks, spill tier and backpressure throttle. All off by default.
+  /// Buffer governance: the memory budget (finite buffer space), spill
+  /// tier and backpressure throttle. All off by default.
   MemoryOptions memory;
 
   /// Modeled dispatch cost charged by rep shards and sub-reps per unit of
@@ -82,7 +82,7 @@ struct FrameworkOptions {
   /// Chaos hook: sub-rep `debug_kill_subrep` of program
   /// `debug_kill_subrep_program` exits silently at virtual time
   /// `debug_kill_subrep_at`, simulating a mid-run aggregator death. Its
-  /// children detect the silence via departure_timeout_seconds and
+  /// children detect the silence after departure_window_seconds() and
   /// re-parent onto the rep shards directly. -1 = disabled.
   int debug_kill_subrep = -1;
   double debug_kill_subrep_at = 0;
@@ -97,31 +97,26 @@ struct FrameworkOptions {
   /// commit-time geometry broadcast, shutdown). On expiry the proc
   /// re-sends its request; the protocol's sequence numbers make the
   /// duplicates idempotent end-to-end. 0 disables retries entirely
-  /// (plain blocking receives).
+  /// (plain blocking receives). The one failure-tolerance setting: the
+  /// backoff cap, heartbeat interval and departure window derive from it.
   double retry_timeout_seconds = 0;
-
-  /// Reps emit a heartbeat to their own procs every interval while idle,
-  /// so workers in timeout loops can distinguish "rep is slow" from "rep
-  /// is gone". 0 disables heartbeats.
-  double heartbeat_interval_seconds = 0;
-
-  /// A worker in its shutdown service loop that has heard nothing from
-  /// its rep for this long presumes the rep departed and finishes
-  /// degraded instead of blocking forever. Requires heartbeats to be
-  /// meaningful. 0 = wait forever.
-  double departure_timeout_seconds = 0;
-
-  /// An exporter stalled on the memory budget for this long with no
-  /// request traffic force-closes its connections (degraded, unconnected
-  /// mode: later exports skip send/buffer work) instead of waiting
-  /// forever on a dead importer. 0 = wait forever.
-  double stall_timeout_seconds = 0;
 
   /// True when the retry/liveness machinery is active.
   bool failure_tolerance() const { return retry_timeout_seconds > 0; }
 
   /// Cap on the exponential retry backoff (kRetryBackoffFactor).
   double backoff_cap_seconds() const { return 16 * retry_timeout_seconds; }
+
+  /// Reps emit a heartbeat to their own procs this often while idle, so
+  /// workers in timeout loops can tell "rep is slow" from "rep is gone".
+  double heartbeat_interval_seconds() const { return 10 * retry_timeout_seconds; }
+
+  /// Silence that reads as departure: a worker that hears nothing from
+  /// its rep for this long re-parents (sub-rep gone) or finishes degraded
+  /// (rep gone); a sub-rep that hears nothing from above exits; an
+  /// exporter stalled on its memory budget this long force-closes its
+  /// connections. 20 heartbeats.
+  double departure_window_seconds() const { return 200 * retry_timeout_seconds; }
 };
 
 }  // namespace ccf::core

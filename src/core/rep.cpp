@@ -257,19 +257,12 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
   };
 
   auto all_finished = [&] {
-    if (reliable_finish && conn_finished_resend.acked.size() < import_conns_done.size()) {
-      return false;
-    }
-    // Only gate on silent ranks when heartbeat ticks exist to repair them.
-    if (reliable_finish && options.heartbeat_interval_seconds > 0 && silent_ranks_remain()) {
-      return false;
-    }
-    if (reliable_finish && options.heartbeat_interval_seconds > 0 &&
-        static_cast<int>(meta_resend.acked.size()) < pl.nprocs) {
-      return false;
-    }
-    if (reliable_finish && options.heartbeat_interval_seconds > 0 &&
-        peer_meta_resend.acked.size() < own_conns.size()) {
+    // Tolerant mode: every resend ledger must be settled (the heartbeat
+    // tick repairs what is not).
+    if (reliable_finish &&
+        (conn_finished_resend.acked.size() < import_conns_done.size() ||
+         silent_ranks_remain() || static_cast<int>(meta_resend.acked.size()) < pl.nprocs ||
+         peer_meta_resend.acked.size() < own_conns.size())) {
       return false;
     }
     return meta_broadcast && import_side_done() &&
@@ -523,14 +516,13 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
     handle(m.src, m.tag, m.payload);
   };
 
-  const bool beats = options.heartbeat_interval_seconds > 0;
-  double next_beat = beats ? ctx.now() + options.heartbeat_interval_seconds : 0;
+  double next_beat = ctx.now() + options.heartbeat_interval_seconds();
 
   // A program with no connections still performs the geometry phase, then
   // shuts its processes down immediately.
   while (!all_finished()) {
     Message m;
-    if (beats) {
+    if (reliable_finish) {
       auto maybe = ctx.recv_until(MatchSpec{kAnyProc, kAnyTag}, next_beat);
       if (!maybe) {
         down.bcast(kTagRepHeartbeat, transport::empty_payload());
@@ -538,38 +530,35 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
         // Re-send every un-acked message of the tolerant protocol on the
         // same tick: geometry, peer geometry, ConnFinished, then forwards
         // to silent ranks.
-        if (reliable_finish) {
-          if (meta_broadcast && static_cast<int>(meta_resend.acked.size()) < pl.nprocs) {
-            for (ProcId proc : pl.proc_ids()) {
-              if (!meta_resend.due(proc)) continue;
-              down.to_rank(static_cast<int>(proc - pl.first), kTagRegionMetaBcast,
-                           meta_payload);
-              ++result.meta_resends;
-            }
+        if (meta_broadcast && static_cast<int>(meta_resend.acked.size()) < pl.nprocs) {
+          for (ProcId proc : pl.proc_ids()) {
+            if (!meta_resend.due(proc)) continue;
+            down.to_rank(static_cast<int>(proc - pl.first), kTagRegionMetaBcast, meta_payload);
+            ++result.meta_resends;
           }
-          if (defs_received && peer_meta_resend.acked.size() < own_conns.size()) {
-            for (int conn : own_conns) {
-              if (!peer_meta_resend.due(conn)) continue;
-              ship_conn_meta(conn);
-              ++result.meta_resends;
-            }
+        }
+        if (defs_received && peer_meta_resend.acked.size() < own_conns.size()) {
+          for (int conn : own_conns) {
+            if (!peer_meta_resend.due(conn)) continue;
+            ship_conn_meta(conn);
+            ++result.meta_resends;
           }
-          for (int conn : import_conns_done) {
-            if (!conn_finished_resend.due(conn)) continue;
-            ctx.send(peer_rep_of(conn), kTagConnFinished,
-                     ConnMsg{static_cast<std::uint32_t>(conn)}.encode());
-          }
-          for (const auto& [conn, agg] : aggregators) {
-            for (const auto& u : agg.unresponsive_ranks()) {
-              if (!forward_resend.due({conn, u.request.seq})) continue;
-              const transport::Payload payload = u.request.encode();
-              for (int rank : u.ranks) down.to_rank(rank, kTagProcForward, payload);
-              ++result.forward_resends;
-            }
+        }
+        for (int conn : import_conns_done) {
+          if (!conn_finished_resend.due(conn)) continue;
+          ctx.send(peer_rep_of(conn), kTagConnFinished,
+                   ConnMsg{static_cast<std::uint32_t>(conn)}.encode());
+        }
+        for (const auto& [conn, agg] : aggregators) {
+          for (const auto& u : agg.unresponsive_ranks()) {
+            if (!forward_resend.due({conn, u.request.seq})) continue;
+            const transport::Payload payload = u.request.encode();
+            for (int rank : u.ranks) down.to_rank(rank, kTagProcForward, payload);
+            ++result.forward_resends;
           }
         }
         down.flush();
-        next_beat = ctx.now() + options.heartbeat_interval_seconds;
+        next_beat = ctx.now() + options.heartbeat_interval_seconds();
         continue;
       }
       m = std::move(*maybe);

@@ -57,8 +57,7 @@ SubRepResult run_subrep(runtime::ProcessContext& ctx, const Config& config,
   const TreeNode parent = pl.parent(node);
   const bool top = pl.is_root(parent);
 
-  const bool tolerant =
-      options.failure_tolerance() && options.departure_timeout_seconds > 0;
+  const bool tolerant = options.failure_tolerance();
   const bool kill_me = options.debug_kill_subrep == node_index &&
                        options.debug_kill_subrep_program == program_name;
 
@@ -156,7 +155,7 @@ SubRepResult run_subrep(runtime::ProcessContext& ctx, const Config& config,
   while (static_cast<int>(shutdown_shards.size()) < pl.shards) {
     std::optional<Message> m;
     if (tolerant || kill_me) {
-      double deadline = tolerant ? last_down_seen + options.departure_timeout_seconds : 1e300;
+      double deadline = tolerant ? last_down_seen + options.departure_window_seconds() : 1e300;
       if (kill_me && options.debug_kill_subrep_at < deadline) {
         deadline = options.debug_kill_subrep_at;
       }

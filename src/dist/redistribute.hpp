@@ -95,12 +95,11 @@ void execute_sends_packed(ProcessContext& ctx, const RedistSchedule& sched,
                           Payload snapshot_frame = {}) {
   static_assert(std::is_trivially_copyable_v<T>);
   if (snapshot_frame) {
-    CCF_REQUIRE(snapshot_frame.size() ==
-                    transport::kLengthPrefixBytes +
-                        static_cast<std::size_t>(snapshot_box.count()) * sizeof(T),
+    const std::size_t snapshot_bytes = static_cast<std::size_t>(snapshot_box.count()) * sizeof(T);
+    CCF_REQUIRE(snapshot_frame.size() == transport::kLengthPrefixBytes + snapshot_bytes,
                 "snapshot frame has " << snapshot_frame.size() << " bytes, box "
-                                      << snapshot_box << " needs "
-                                      << snapshot_box.count() * sizeof(T) << " + prefix");
+                                      << snapshot_box << " needs " << snapshot_bytes
+                                      << " + prefix");
   }
   for (const auto& piece : sched.pieces()) {
     const auto piece_bytes = static_cast<std::uint64_t>(piece.box.count()) * sizeof(T);

@@ -17,13 +17,20 @@ namespace {
 // in-process "processes" (threads) draw distinct tokens from this counter,
 // and forked processes, which inherit the counter, differ by pid.
 std::atomic<std::uint64_t> g_store_tokens{0};
+
+/// "s<pid>_<token>_", unique per store.
+std::string fresh_name_prefix() {
+  std::string prefix = "s";
+  prefix += std::to_string(::getpid());
+  prefix += '_';
+  prefix += std::to_string(g_store_tokens.fetch_add(1, std::memory_order_relaxed));
+  prefix += '_';
+  return prefix;
+}
 }  // namespace
 
 SpillStore::SpillStore(std::string directory)
-    : dir_(std::move(directory)),
-      name_prefix_("s" + std::to_string(::getpid()) + "_" +
-                   std::to_string(g_store_tokens.fetch_add(1, std::memory_order_relaxed)) +
-                   "_") {
+    : dir_(std::move(directory)), name_prefix_(fresh_name_prefix()) {
   CCF_REQUIRE(!dir_.empty(), "spill directory must be non-empty");
   std::error_code ec;
   fs::create_directories(dir_, ec);

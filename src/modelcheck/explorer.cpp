@@ -36,11 +36,7 @@ FrameworkOptions framework_options(const Scenario& s) {
   FrameworkOptions fw;
   fw.buddy_help = s.buddy_help;
   fw.trace = true;  // structured events are the conformance observable
-  if (s.faults.enabled) {
-    fw.retry_timeout_seconds = 0.05;
-    fw.heartbeat_interval_seconds = 0.5;
-    fw.departure_timeout_seconds = 10.0;
-  }
+  if (s.faults.enabled) fw.retry_timeout_seconds = 0.05;
   return fw;
 }
 

@@ -98,8 +98,8 @@ class RealEndpoint final : public Endpoint {
     bool epollout_armed = false;
     bool counted_pressure = false;
 
-    Conn(std::size_t max_payload, std::size_t block_bytes, std::size_t inline_bytes)
-        : decoder(max_payload, block_bytes, inline_bytes) {}
+    explicit Conn(std::size_t block_bytes)
+        : decoder(kMaxFramePayloadBytes, block_bytes, kShmInlineBytes) {}
   };
 
   /// A frame addressed to a peer whose connection has not completed its
@@ -459,9 +459,7 @@ std::shared_ptr<RealEndpoint::Conn> RealEndpoint::connect_to(ProcId peer) {
   ctr_->tcp_bytes.fetch_add(wire.size(), std::memory_order_relaxed);
   set_nonblocking(fd);
 
-  auto c = std::make_shared<Conn>(host_.options_.max_frame_payload_bytes,
-                                  host_.options_.tcp_recv_block_bytes,
-                                  host_.options_.shm_inline_bytes);
+  auto c = std::make_shared<Conn>(host_.options_.tcp_recv_block_bytes);
   c->fd = fd;
   c->peer = peer;
   c->initiator = true;
@@ -487,9 +485,7 @@ void RealEndpoint::accept_pending() {
     }
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    auto c = std::make_shared<Conn>(host_.options_.max_frame_payload_bytes,
-                                    host_.options_.tcp_recv_block_bytes,
-                                    host_.options_.shm_inline_bytes);
+    auto c = std::make_shared<Conn>(host_.options_.tcp_recv_block_bytes);
     c->fd = fd;  // peer unknown until its HELLO arrives
     std::lock_guard<std::mutex> lock(conns_mutex_);
     register_conn_locked(c);
@@ -674,7 +670,7 @@ void RealEndpoint::deliver_record(std::size_t producer_index,
   m.seq = h.seq;
   const std::byte* payload = rec.data + kFrameHeaderBytes;
   const std::size_t payload_bytes = static_cast<std::size_t>(h.payload_bytes);
-  if (payload_bytes <= host_.options_.shm_inline_bytes) {
+  if (payload_bytes <= kShmInlineBytes) {
     // Small control frames: copy out and release within this drain so
     // long-held messages never pin ring space. Contiguous inline records
     // extend the batch; a gap (a zero-copy record in between) flushes it.

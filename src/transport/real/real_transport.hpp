@@ -23,7 +23,7 @@
 // Zero copy on the SHM path: a frame is written once into the ring
 // (payload gathered next to its header) and the consumer hands out
 // PayloadViews aliasing the ring pages; the slot is released when the
-// last view dies. Payloads at or below shm_inline_bytes are copied out
+// last view dies. Payloads at or below kShmInlineBytes are copied out
 // instead so tiny control messages never pin ring space.
 //
 // Backpressure: a TCP write queue above its high watermark (or a

@@ -62,6 +62,15 @@ static_assert(std::is_trivially_copyable_v<FrameHeader>);
 
 inline constexpr std::size_t kFrameHeaderBytes = sizeof(FrameHeader);
 
+/// Payloads at or below this size are copied out of the SHM ring or the
+/// TCP receive block on delivery (releasing the slot immediately); larger
+/// payloads alias that memory zero-copy until the last PayloadView dies.
+inline constexpr std::size_t kShmInlineBytes = 512;
+
+/// Hard cap on a decoded frame's payload (hostile-input guard on the TCP
+/// path; an SHM frame is already bounded by the ring capacity).
+inline constexpr std::size_t kMaxFramePayloadBytes = 256u << 20;
+
 /// Total wire size of a frame carrying `payload_bytes` of payload.
 inline std::size_t frame_bytes(std::size_t payload_bytes) {
   return kFrameHeaderBytes + payload_bytes;

@@ -39,8 +39,9 @@ class Writer {
   template <typename T>
   void put(const T& value) {
     static_assert(std::is_trivially_copyable_v<T>, "put() requires a trivially copyable type");
-    const auto* p = reinterpret_cast<const std::byte*>(&value);
-    buffer_.insert(buffer_.end(), p, p + sizeof(T));
+    const std::size_t at = buffer_.size();
+    buffer_.resize(at + sizeof(T));
+    std::memcpy(buffer_.data() + at, &value, sizeof(T));
   }
 
   void put_string(const std::string& s) {

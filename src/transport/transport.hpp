@@ -121,20 +121,11 @@ struct TransportOptions {
   /// knob.
   std::size_t shm_ring_bytes = 1u << 20;
 
-  /// Payloads at or below this size are copied out of the ring on
-  /// delivery (releasing the slot immediately); larger payloads alias the
-  /// ring memory zero-copy until the last PayloadView dies.
-  std::size_t shm_inline_bytes = 512;
-
-  /// Hard cap on a decoded frame's payload (hostile-input guard on the
-  /// TCP path; an SHM frame is already bounded by the ring capacity).
-  std::size_t max_frame_payload_bytes = 256u << 20;
-
   /// TCP receive block size: each read() lands in a refcounted block this
   /// large (grown to fit a partial frame's remainder), and every complete
   /// frame inside one block is parsed from a single syscall. Payloads
-  /// above shm_inline_bytes are delivered as zero-copy views aliasing the
-  /// block. Tests shrink this to force frames to straddle block edges.
+  /// above real::kShmInlineBytes are delivered as zero-copy views aliasing
+  /// the block. Tests shrink this to force frames to straddle block edges.
   std::size_t tcp_recv_block_bytes = 256u << 10;
 
   /// TCP write-queue watermarks driving Endpoint::under_pressure().

@@ -55,11 +55,23 @@ class Xoshiro256 {
   std::uint64_t below(std::uint64_t n) {
     // Lemire's multiply-shift rejection-free approximation is fine here;
     // bias is negligible for our n << 2^64.
-    return static_cast<std::uint64_t>((static_cast<unsigned __int128>(next()) * n) >> 64);
+    return mul_high(next(), n);
   }
 
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+  /// High 64 bits of the 128-bit product a * b, from 32-bit halves (ISO
+  /// C++ has no 128-bit integer).
+  static std::uint64_t mul_high(std::uint64_t a, std::uint64_t b) {
+    const std::uint64_t a_lo = a & 0xffffffffu, a_hi = a >> 32;
+    const std::uint64_t b_lo = b & 0xffffffffu, b_hi = b >> 32;
+    const std::uint64_t lo_lo = a_lo * b_lo;
+    const std::uint64_t hi_lo = a_hi * b_lo;
+    const std::uint64_t mid = (lo_lo >> 32) + (hi_lo & 0xffffffffu) + a_lo * b_hi;
+    return a_hi * b_hi + (hi_lo >> 32) + (mid >> 32);
+  }
+
   std::uint64_t state_[4];
 };
 

@@ -1,8 +1,10 @@
-// CouplingRuntime's blocking waits driven to retry exhaustion on a
-// scripted context: in failure-tolerant mode every silent deadline is a
-// tick that re-sends the wait's message, the deadlines back off from a
+// CouplingRuntime's blocking waits driven to their bounds on a scripted
+// context: in failure-tolerant mode every silent deadline is a tick that
+// re-sends the wait's message, the deadlines back off from a
 // rank-staggered first timeout up to the cap, and after kMaxRetries ticks
-// the wait gives up with a TimeoutError naming what it waited for.
+// the wait gives up with a TimeoutError naming what it waited for. The
+// shutdown wait and the buffer-space stall end instead at the departure
+// window, which derives from the retry timeout alone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -64,12 +66,12 @@ class ClockedContext final : public runtime::ProcessContext {
 };
 
 constexpr double kRetryTimeout = 0.05;
+/// Silence that reads as departure: 200 retry timeouts.
+constexpr double kDepartureWindow = 200 * kRetryTimeout;
 
 FrameworkOptions tolerant_options() {
   FrameworkOptions fw;
   fw.retry_timeout_seconds = kRetryTimeout;
-  fw.heartbeat_interval_seconds = 0.5;
-  fw.departure_timeout_seconds = 10.0;
   return fw;
 }
 
@@ -101,6 +103,22 @@ std::vector<double> expected_ticks(double start, int rank, int ticks) {
 void expect_times(const std::vector<double>& got, const std::vector<double>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t k = 0; k < got.size(); ++k) EXPECT_DOUBLE_EQ(got[k], want[k]) << "tick " << k;
+}
+
+/// Shard 0's geometry broadcast from `rep` to `dst`: connection 0's peer
+/// region is `peer`.
+Message geometry_bcast(ProcId rep, ProcId dst, const RegionMeta& peer) {
+  transport::Writer w;
+  w.put<std::uint32_t>(0);
+  w.put<std::uint32_t>(1);
+  w.put<std::uint32_t>(0);
+  peer.encode_into(w);
+  Message bcast;
+  bcast.src = rep;
+  bcast.dst = dst;
+  bcast.tag = kTagRegionMetaBcast;
+  bcast.payload = w.take();
+  return bcast;
 }
 
 TEST(CouplingWaits, GeometryWaitGivesUpAfterMaxRetries) {
@@ -150,19 +168,8 @@ TEST(CouplingWaits, AnswerWaitResendsTheRequestOnEveryTick) {
     const auto decomp = BlockDecomposition::make_grid(8, 8, 2);
     rt.define_import_region("r", decomp);
 
-    // The rep's geometry broadcast: shard 0 holds connection 0, whose
-    // exporter region is 8x8 on one rank.
-    transport::Writer w;
-    w.put<std::uint32_t>(0);
-    w.put<std::uint32_t>(1);
-    w.put<std::uint32_t>(0);
-    RegionMeta{"r", 8, 8, 1, 1}.encode_into(w);
-    Message bcast;
-    bcast.src = imp.rep;
-    bcast.dst = imp.proc(rank);
-    bcast.tag = kTagRegionMetaBcast;
-    bcast.payload = w.take();
-    ctx.inner().push_inbox(std::move(bcast));
+    // Connection 0's exporter region is 8x8 on one rank.
+    ctx.inner().push_inbox(geometry_bcast(imp.rep, imp.proc(rank), RegionMeta{"r", 8, 8, 1, 1}));
     rt.commit();
     EXPECT_EQ(rt.stats_snapshot().ft.commit_retries, 0u);
 
@@ -194,6 +201,82 @@ TEST(CouplingWaits, AnswerWaitResendsTheRequestOnEveryTick) {
     }
     EXPECT_DOUBLE_EQ(ctx.now(), ticks.back());
   }
+}
+
+TEST(CouplingWaits, ShutdownWaitResendsConnDoneUntilTheDepartureWindow) {
+  const Config config = coupling();
+  const DeploymentLayout layout(config);
+  const ProgramLayout& imp = layout.program("I");
+  for (int rank : {0, 1}) {
+    SCOPED_TRACE("rank " + std::to_string(rank));
+    ClockedContext ctx(imp.proc(rank));
+    CouplingRuntime rt(ctx, config, layout, "I", rank, tolerant_options());
+    rt.define_import_region("r", BlockDecomposition::make_grid(8, 8, 2));
+    // The geometry broadcast is the last the rank hears from its rep.
+    ctx.inner().push_inbox(geometry_bcast(imp.rep, imp.proc(rank), RegionMeta{"r", 8, 8, 1, 1}));
+    rt.commit();
+    const double last_heard = ctx.now();
+
+    // No ShutdownProc ever comes: every rank reports its own completion,
+    // re-sends it on every tick, and at the first tick more than a
+    // departure window after the rep's last message presumes the rep gone.
+    rt.finalize();
+    const std::vector<double> ticks = expected_ticks(last_heard, rank, kMaxRetries);
+    const auto departs = std::find_if(ticks.begin(), ticks.end(), [&](double t) {
+      return t - last_heard > kDepartureWindow;
+    });
+    ASSERT_NE(departs, ticks.end());
+    std::vector<double> sends{last_heard};
+    sends.insert(sends.end(), ticks.begin(), departs);
+    expect_times(ctx.sent_at(kTagImporterConnDone), sends);
+    for (const Message& m : ctx.inner().sent_with_tag(kTagImporterConnDone)) {
+      EXPECT_EQ(ConnMsg::decode(m.payload).conn, 0u);
+      EXPECT_EQ(m.dst, imp.rep);
+    }
+    const ProcStats stats = rt.stats_snapshot();
+    EXPECT_TRUE(stats.ft.rep_departed);
+    EXPECT_EQ(stats.ft.conn_done_retries, sends.size() - 1);
+    EXPECT_DOUBLE_EQ(stats.finished_at, *departs);
+    EXPECT_DOUBLE_EQ(ctx.now(), *departs);
+  }
+}
+
+TEST(CouplingWaits, BufferStallDegradesOnceAtTheDepartureWindow) {
+  const Config config = coupling();
+  const DeploymentLayout layout(config);
+  const ProgramLayout& exp = layout.program("E");
+  const auto decomp = BlockDecomposition::make_grid(8, 8, 1);
+  const auto importer = BlockDecomposition::make_grid(8, 8, 2);
+  FrameworkOptions fw = tolerant_options();
+  fw.memory.budget_bytes = static_cast<std::size_t>(decomp.box_of(0).count()) * sizeof(double);
+
+  ClockedContext ctx(exp.proc(0));
+  CouplingRuntime rt(ctx, config, layout, "E", 0, fw);
+  rt.define_export_region("r", decomp);
+  ctx.inner().push_inbox(geometry_bcast(
+      exp.rep, exp.proc(0),
+      RegionMeta{"r", 8, 8, importer.proc_rows(), importer.proc_cols()}));
+  rt.commit();
+
+  // The first snapshot fills the budget. With no request outstanding the
+  // second export stalls on framework traffic; none comes, so the stall
+  // ticks once, a departure window after it began, and force-closes the
+  // connection, which frees the first snapshot.
+  dist::DistArray2D<double> data(decomp, 0);
+  rt.export_region("r", 1.0, data);
+  const double stall_entry = ctx.now();
+  rt.export_region("r", 2.0, data);
+
+  const ExportRegionStats stats = rt.stats_snapshot().exports.at(0);
+  EXPECT_EQ(stats.exports, 2u);
+  EXPECT_EQ(stats.stalls, 1u);
+  EXPECT_DOUBLE_EQ(stats.stall_seconds, kDepartureWindow);
+  EXPECT_EQ(stats.degraded_conns, 1u);
+  EXPECT_DOUBLE_EQ(ctx.now(), stall_entry + kDepartureWindow);
+  // Pressure rose with the first snapshot and cleared when the tick freed it.
+  const std::vector<double> pressure = ctx.sent_at(kTagProcPressure);
+  ASSERT_EQ(pressure.size(), 2u);
+  EXPECT_DOUBLE_EQ(pressure[1], stall_entry + kDepartureWindow);
 }
 
 }  // namespace

@@ -238,8 +238,8 @@ TEST_P(MatcherProperty, DecisiveAndOptimalOncePastRequest) {
 INSTANTIATE_TEST_SUITE_P(AllPolicies, MatcherProperty,
                          ::testing::Values(MatchPolicy::REGL, MatchPolicy::REGU,
                                            MatchPolicy::REG),
-                         [](const ::testing::TestParamInfo<MatchPolicy>& info) {
-                           return to_string(info.param);
+                         [](const ::testing::TestParamInfo<MatchPolicy>& p) {
+                           return to_string(p.param);
                          });
 
 // Regression: NO_MATCH for REGU/REG is not decidable just because exports

@@ -263,8 +263,6 @@ TEST(MemoryGovernance, ImporterThrottlesWhileExporterUnderPressure) {
   Config config = make_config(2, 2);
   FrameworkOptions fw;
   fw.memory.budget_bytes = 2 * snapshot;
-  fw.memory.low_watermark = 0.25;
-  fw.memory.high_watermark = 0.5;
   fw.memory.spill_directory = spill_dir("throttle");
   fw.memory.importer_throttle_seconds = 1e-4;
   CoupledSystem system(config, runtime::ClusterOptions{}, fw);

@@ -144,7 +144,6 @@ TEST(RepTreeTest, TreeBoundsRepInboundTraffic) {
 TEST(RepTreeTest, TreeSurvivesFailureTolerantMode) {
   FrameworkOptions options;
   options.retry_timeout_seconds = 0.05;
-  options.heartbeat_interval_seconds = 0.02;
   const RunOutcome flat = run_workload(9, 0, 1, options);
   const RunOutcome tree = run_workload(9, 3, 1, options);
   EXPECT_EQ(flat.matched, tree.matched);

@@ -102,10 +102,10 @@ INSTANTIATE_TEST_SUITE_P(
                       ModeLayoutParam{ExecutionMode::VirtualTime, 2, 12},
                       ModeLayoutParam{ExecutionMode::RealThreads, 4, 6},
                       ModeLayoutParam{ExecutionMode::RealThreads, 2, 2}),
-    [](const ::testing::TestParamInfo<ModeLayoutParam>& info) {
-      return std::string(info.param.mode == ExecutionMode::RealThreads ? "Threads" : "Virtual") +
-             "_E" + std::to_string(info.param.exp_procs) + "_I" +
-             std::to_string(info.param.imp_procs);
+    [](const ::testing::TestParamInfo<ModeLayoutParam>& p) {
+      return std::string(p.param.mode == ExecutionMode::RealThreads ? "Threads" : "Virtual") +
+             "_E" + std::to_string(p.param.exp_procs) + "_I" +
+             std::to_string(p.param.imp_procs);
     });
 
 TEST(CoupledSystemTest, ReportsTheClockOfTheModeItRuns) {

@@ -91,11 +91,11 @@ INSTANTIATE_TEST_SUITE_P(
                       WindowCase{Box{0, 24, 0, 24}, 4, 2},    // explicit full domain
                       WindowCase{Box{6, 7, 6, 7}, 9, 1},      // single cell
                       WindowCase{Box{5, 19, 3, 22}, 6, 4}),   // off-center, uneven blocks
-    [](const ::testing::TestParamInfo<WindowCase>& info) {
-      const Box& w = info.param.window;
+    [](const ::testing::TestParamInfo<WindowCase>& p) {
+      const Box& w = p.param.window;
       return "w" + std::to_string(w.row_begin) + "_" + std::to_string(w.row_end) + "_" +
              std::to_string(w.col_begin) + "_" + std::to_string(w.col_end) + "_E" +
-             std::to_string(info.param.exp_procs) + "I" + std::to_string(info.param.imp_procs);
+             std::to_string(p.param.exp_procs) + "I" + std::to_string(p.param.imp_procs);
     });
 
 TEST(WindowedTransfer, NonContributingProcessesSkipAllBuffering) {

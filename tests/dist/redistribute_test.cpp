@@ -393,12 +393,12 @@ INSTANTIATE_TEST_SUITE_P(
         RedistParam{runtime::ExecutionMode::VirtualTime, 8, 1, 64, 16},
         RedistParam{runtime::ExecutionMode::RealThreads, 4, 16, 32, 32},
         RedistParam{runtime::ExecutionMode::RealThreads, 6, 3, 30, 20}),
-    [](const ::testing::TestParamInfo<RedistParam>& info) {
-      return std::string(info.param.mode == runtime::ExecutionMode::RealThreads ? "Threads"
-                                                                                : "Virtual") +
-             "_" + std::to_string(info.param.src_procs) + "to" +
-             std::to_string(info.param.dst_procs) + "_" + std::to_string(info.param.rows) + "x" +
-             std::to_string(info.param.cols);
+    [](const ::testing::TestParamInfo<RedistParam>& p) {
+      return std::string(p.param.mode == runtime::ExecutionMode::RealThreads ? "Threads"
+                                                                             : "Virtual") +
+             "_" + std::to_string(p.param.src_procs) + "to" +
+             std::to_string(p.param.dst_procs) + "_" + std::to_string(p.param.rows) + "x" +
+             std::to_string(p.param.cols);
     });
 
 }  // namespace

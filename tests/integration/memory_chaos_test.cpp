@@ -53,8 +53,6 @@ struct RunResult {
 FrameworkOptions tolerant_options() {
   FrameworkOptions fw;
   fw.retry_timeout_seconds = 0.05;
-  fw.heartbeat_interval_seconds = 0.5;
-  fw.departure_timeout_seconds = 10.0;
   return fw;
 }
 

@@ -204,8 +204,8 @@ INSTANTIATE_TEST_SUITE_P(
                       OracleParam{MatchPolicy::REGU, 0.3, 5}, OracleParam{MatchPolicy::REG, 1.5, 6},
                       OracleParam{MatchPolicy::REG, 5.0, 7}, OracleParam{MatchPolicy::REGL, 2.5, 8},
                       OracleParam{MatchPolicy::REG, 0.1, 9}, OracleParam{MatchPolicy::REGU, 6.0, 10}),
-    [](const ::testing::TestParamInfo<OracleParam>& info) {
-      return to_string(info.param.policy) + "_seed" + std::to_string(info.param.seed);
+    [](const ::testing::TestParamInfo<OracleParam>& p) {
+      return to_string(p.param.policy) + "_seed" + std::to_string(p.param.seed);
     });
 
 TEST(OracleEdgeCases, RequestsBeyondAllExports) {

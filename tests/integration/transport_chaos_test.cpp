@@ -32,9 +32,7 @@ struct Answer {
 
 FrameworkOptions tolerant_options() {
   FrameworkOptions fw;
-  fw.retry_timeout_seconds = 0.1;
-  fw.heartbeat_interval_seconds = 0.5;
-  fw.departure_timeout_seconds = 30.0;
+  fw.retry_timeout_seconds = 0.1;  // 1 s heartbeats, 20 s departure window
   return fw;
 }
 

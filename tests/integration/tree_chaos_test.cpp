@@ -54,8 +54,6 @@ Workload default_workload() {
 FrameworkOptions tolerant_options() {
   FrameworkOptions fw;
   fw.retry_timeout_seconds = 0.05;
-  fw.heartbeat_interval_seconds = 0.5;
-  fw.departure_timeout_seconds = 10.0;
   return fw;
 }
 
@@ -312,7 +310,6 @@ TEST(TreeChaos, SubRepDeathMidRunReparentsAndConverges) {
   ASSERT_FALSE(reference.per_rank.empty());
 
   FrameworkOptions fw = tolerant_options();
-  fw.departure_timeout_seconds = 1.0;
   fw.debug_kill_subrep = 0;  // leaf node covering exporter ranks 0..1
   fw.debug_kill_subrep_at = 0.02;
   fw.debug_kill_subrep_program = "E";
@@ -329,7 +326,6 @@ TEST(TreeChaos, SubRepDeathUnderFrameChaosStillConverges) {
   const RunResult reference = run_system(wl, tolerant_options(), nullptr);
 
   FrameworkOptions fw = tolerant_options();
-  fw.departure_timeout_seconds = 1.0;
   fw.debug_kill_subrep = 1;
   fw.debug_kill_subrep_at = 0.05;
   fw.debug_kill_subrep_program = "E";

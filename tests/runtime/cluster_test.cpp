@@ -85,9 +85,9 @@ TEST_P(ClusterModeTest, ValidatesUsage) {
 INSTANTIATE_TEST_SUITE_P(BothModes, ClusterModeTest,
                          ::testing::Values(ExecutionMode::RealThreads,
                                            ExecutionMode::VirtualTime),
-                         [](const ::testing::TestParamInfo<ExecutionMode>& info) {
-                           return info.param == ExecutionMode::RealThreads ? "RealThreads"
-                                                                           : "VirtualTime";
+                         [](const ::testing::TestParamInfo<ExecutionMode>& p) {
+                           return p.param == ExecutionMode::RealThreads ? "RealThreads"
+                                                                        : "VirtualTime";
                          });
 
 TEST(VirtualMode, ComputeAdvancesVirtualClockPrecisely) {

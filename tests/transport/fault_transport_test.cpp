@@ -278,7 +278,9 @@ TEST(FaultTransport, AHeldMessageReleasedOnAnotherThreadKeepsOneSenderPerEndpoin
       EXPECT_TRUE(m->payload.size() == want.payload.size() &&
                   std::memcmp(m->payload.data(), want.payload.data(), want.payload.size()) == 0);
       ++arrivals[static_cast<std::size_t>(m->src)][static_cast<std::size_t>(m->tag)];
-      if (m->src == 1) EXPECT_EQ(m->tag, next_from_1++);  // never held: in order
+      if (m->src == 1) {
+        EXPECT_EQ(m->tag, next_from_1++);  // never held: in order
+      }
       ++delivered;
     }
   } catch (const MailboxClosed&) {

@@ -86,7 +86,7 @@ TEST(RealTransport, ShmDeliveryIsByteIdenticalToFabric) {
   EXPECT_EQ(c.frames_received, c.frames_sent);
   EXPECT_EQ(c.tcp_frames, 0u) << "same-node pair must never touch a socket";
   EXPECT_EQ(c.shm_frames, c.frames_sent);
-  // Payloads above shm_inline_bytes (512) alias the ring zero-copy; the
+  // Payloads above kShmInlineBytes (512) alias the ring zero-copy; the
   // rest (and the acks) are inline copies. Golden sizes: 4 above, 4 at or
   // below, plus 8 one-byte acks.
   EXPECT_EQ(c.shm_zero_copy_deliveries, 4u);
