@@ -4,7 +4,7 @@
 // virtual experiment is practical).
 #include <benchmark/benchmark.h>
 
-#include "simtime/virtual_cluster.hpp"
+#include "runtime/virtual_time_cluster.hpp"
 #include "transport/fabric.hpp"
 #include "transport/serialize.hpp"
 
@@ -130,12 +130,12 @@ void BM_VirtualClusterEvents(benchmark::State& state) {
   const int procs = static_cast<int>(state.range(0));
   const int rounds = 200;
   for (auto _ : state) {
-    ccf::simtime::VirtualCluster cluster;
+    ccf::runtime::VirtualTimeCluster cluster;
     for (int p = 0; p < procs; ++p) {
-      cluster.add_process(p, [&, p](ccf::simtime::SimContext& ctx) {
+      cluster.add_process(p, [&, p](ccf::runtime::ProcessContext& ctx) {
         for (int i = 0; i < rounds; ++i) {
           ctx.send((p + 1) % procs, 1, empty_payload());
-          ctx.advance(0.001);
+          ctx.compute(0.001);
           (void)ctx.recv(MatchSpec{(p + procs - 1) % procs, 1});
         }
       });
@@ -154,9 +154,9 @@ void BM_VirtualClusterStartup(benchmark::State& state) {
   // come from the pool the previous run filled.
   const int procs = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    ccf::simtime::VirtualCluster cluster;
+    ccf::runtime::VirtualTimeCluster cluster;
     for (int p = 0; p < procs; ++p) {
-      cluster.add_process(p, [](ccf::simtime::SimContext& ctx) { ctx.advance(0.001); });
+      cluster.add_process(p, [](ccf::runtime::ProcessContext& ctx) { ctx.compute(0.001); });
     }
     cluster.run();
   }

@@ -453,6 +453,10 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
         if (!export_conns_finished.insert(static_cast<int>(msg.conn)).second) {
           ++result.duplicates_ignored;
         }
+        // The peer's workers committed before its rep could report this,
+        // and their geometry broadcast needed ours: it arrived, whether or
+        // not its PeerMetaAck did.
+        peer_meta_resend.acked.insert(static_cast<int>(msg.conn));
         // Tell the worker processes the importer left: they release every
         // snapshot held for this connection and stop buffering for it.
         // Re-broadcast on duplicates (idempotent at the workers).

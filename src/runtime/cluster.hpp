@@ -23,6 +23,8 @@ enum class ExecutionMode {
 struct ClusterOptions {
   ExecutionMode mode = ExecutionMode::VirtualTime;
   std::shared_ptr<const transport::LatencyModel> latency = transport::zero_model();
+  /// Virtual time ProcessContext::copy() charges in VirtualTime mode; the
+  /// wall-clock modes pay for the real memcpy instead.
   CopyCostModel copy_cost = CopyCostModel::pentium4_preset();
   /// Optional seeded fault injector applied to every send (both modes).
   std::shared_ptr<transport::FaultInjector> faults;

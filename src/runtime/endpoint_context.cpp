@@ -10,8 +10,8 @@
 namespace ccf::runtime {
 
 EndpointContext::EndpointContext(std::shared_ptr<transport::Endpoint> endpoint,
-                                 WallClock::time_point epoch, const CopyCostModel& copy_cost)
-    : id_(endpoint->id()), endpoint_(std::move(endpoint)), epoch_(epoch), copy_cost_(copy_cost) {}
+                                 WallClock::time_point epoch)
+    : id_(endpoint->id()), endpoint_(std::move(endpoint)), epoch_(epoch) {}
 
 void EndpointContext::send(ProcId dst, Tag tag, Payload payload) {
   Message m;

@@ -25,8 +25,7 @@ using WallClock = std::chrono::steady_clock;
 /// operation already takes real time, so no modeled cost is charged).
 class EndpointContext final : public ProcessContext {
  public:
-  EndpointContext(std::shared_ptr<transport::Endpoint> endpoint, WallClock::time_point epoch,
-                  const CopyCostModel& copy_cost);
+  EndpointContext(std::shared_ptr<transport::Endpoint> endpoint, WallClock::time_point epoch);
 
   ProcId id() const override { return id_; }
   void send(ProcId dst, Tag tag, Payload payload) override;
@@ -34,20 +33,16 @@ class EndpointContext final : public ProcessContext {
   std::optional<Message> try_recv(const MatchSpec& spec) override {
     return endpoint_->inbox().try_receive(spec);
   }
-  bool probe(const MatchSpec& spec) override { return endpoint_->inbox().probe(spec); }
   std::optional<Message> recv_until(const MatchSpec& spec, double deadline) override;
   double now() const override;
   void compute(double seconds) override;
   void copy(void* dst, const void* src, std::size_t bytes) override;
-  void charge_copy_cost(std::size_t) override {}
-  const CopyCostModel& copy_cost_model() const override { return copy_cost_; }
   bool transport_pressure() const override { return endpoint_->under_pressure(); }
 
  private:
   ProcId id_;
   std::shared_ptr<transport::Endpoint> endpoint_;
   WallClock::time_point epoch_;
-  const CopyCostModel& copy_cost_;
 };
 
 /// Registration, transport construction and end time, shared by the two

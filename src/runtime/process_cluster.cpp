@@ -116,7 +116,7 @@ void ProcessCluster::run() {
     std::vector<std::byte> result;
     try {
       Registration& reg = registrations_[i];
-      EndpointContext ctx(fabric->attach(reg.id), epoch, options_.copy_cost);
+      EndpointContext ctx(fabric->attach(reg.id), epoch);
       reg.body(ctx);
       if (reg.channel.encode != nullptr) result = reg.channel.encode();
     } catch (const transport::MailboxClosed&) {

@@ -2,10 +2,11 @@
 //
 // All framework code (collectives, redistribution, the coupling runtime,
 // the simulation components) is written against ProcessContext, so the same
-// program bodies run either on real threads with a real clock
-// (ThreadCluster — functional/integration testing) or under the
-// deterministic virtual-time executor (VirtualTimeCluster — the paper's
-// timing experiments). See DESIGN.md §5.
+// program bodies run in every execution mode: under the deterministic
+// virtual-time executor (VirtualTimeCluster — the paper's timing
+// experiments), on real threads (ThreadCluster) or as forked OS processes
+// (ProcessCluster), the last two with a real clock through one
+// EndpointContext. See DESIGN.md §5.
 #pragma once
 
 #include <cstddef>
@@ -43,9 +44,6 @@ class ProcessContext {
   /// Non-blocking receive.
   virtual std::optional<Message> try_recv(const MatchSpec& spec) = 0;
 
-  /// True if a matching message is already available.
-  virtual bool probe(const MatchSpec& spec) = 0;
-
   /// Blocking receive with a deadline in now()-seconds; nullopt on timeout.
   virtual std::optional<Message> recv_until(const MatchSpec& spec, double deadline) = 0;
 
@@ -59,13 +57,6 @@ class ProcessContext {
   /// Copies `bytes` from src to dst *and* charges the modeled buffering
   /// cost in virtual mode. This is the operation buddy-help elides.
   virtual void copy(void* dst, const void* src, std::size_t bytes) = 0;
-
-  /// Charges modeled time for a copy without touching memory. Used when
-  /// only the accounting matters (e.g., modeling a free()).
-  virtual void charge_copy_cost(std::size_t bytes) = 0;
-
-  /// Cost model used by copy()/charge_copy_cost().
-  virtual const CopyCostModel& copy_cost_model() const = 0;
 
   /// Advisory: true while the transport's egress for this process is
   /// congested (real backend only — TCP write queue over its high

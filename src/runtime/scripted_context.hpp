@@ -39,21 +39,7 @@ class ScriptedContext final : public ProcessContext {
   }
 
   std::optional<Message> try_recv(const MatchSpec& spec) override {
-    for (auto it = inbox_.begin(); it != inbox_.end(); ++it) {
-      if (spec.matches(*it)) {
-        Message m = std::move(*it);
-        inbox_.erase(it);
-        return m;
-      }
-    }
-    return std::nullopt;
-  }
-
-  bool probe(const MatchSpec& spec) override {
-    for (const auto& m : inbox_) {
-      if (spec.matches(m)) return true;
-    }
-    return false;
+    return transport::take_match(inbox_, spec);
   }
 
   std::optional<Message> recv_until(const MatchSpec& spec, double deadline) override {
@@ -69,9 +55,6 @@ class ScriptedContext final : public ProcessContext {
     std::memcpy(dst, src, bytes);
     now_ += cost_.cost_seconds(bytes);
   }
-
-  void charge_copy_cost(std::size_t bytes) override { now_ += cost_.cost_seconds(bytes); }
-  const CopyCostModel& copy_cost_model() const override { return cost_; }
 
   // --- script controls -------------------------------------------------
   /// Messages this process has sent, in order.

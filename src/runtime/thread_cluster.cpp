@@ -17,7 +17,7 @@ void ThreadCluster::run() {
   for (auto& reg : registrations_) {
     threads.emplace_back([&, this] {
       try {
-        EndpointContext ctx(fabric->attach(reg.id), epoch, options_.copy_cost);
+        EndpointContext ctx(fabric->attach(reg.id), epoch);
         reg.body(ctx);
       } catch (const transport::MailboxClosed&) {
         // Teardown path after another process failed; keep the first error.

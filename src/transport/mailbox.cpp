@@ -17,21 +17,10 @@ bool Mailbox::deliver(Message m) {
   return true;
 }
 
-std::optional<Message> Mailbox::extract_locked(const MatchSpec& spec) {
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (spec.matches(*it)) {
-      Message m = std::move(*it);
-      queue_.erase(it);
-      return m;
-    }
-  }
-  return std::nullopt;
-}
-
 Message Mailbox::receive(const MatchSpec& spec) {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    if (auto m = extract_locked(spec)) return std::move(*m);
+    if (auto m = take_match(queue_, spec)) return std::move(*m);
     if (closed_) throw MailboxClosed{};
     cv_.wait(lock);
   }
@@ -41,17 +30,17 @@ std::optional<Message> Mailbox::receive_until(const MatchSpec& spec,
                                               std::chrono::steady_clock::time_point deadline) {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    if (auto m = extract_locked(spec)) return m;
+    if (auto m = take_match(queue_, spec)) return m;
     if (closed_) throw MailboxClosed{};
     if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      return extract_locked(spec);
+      return take_match(queue_, spec);
     }
   }
 }
 
 std::optional<Message> Mailbox::try_receive(const MatchSpec& spec) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return extract_locked(spec);
+  return take_match(queue_, spec);
 }
 
 bool Mailbox::probe(const MatchSpec& spec) const {

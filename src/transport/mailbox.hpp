@@ -59,8 +59,6 @@ class Mailbox {
   std::uint64_t dropped() const;
 
  private:
-  std::optional<Message> extract_locked(const MatchSpec& spec);
-
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<Message> queue_;

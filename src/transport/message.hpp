@@ -10,9 +10,12 @@
 // buffer) via the shared_ptr aliasing constructor.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -110,5 +113,17 @@ struct MatchSpec {
     return src_ok && (tag == kAnyTag || tag == m.tag);
   }
 };
+
+/// Tagged receive from a queue in arrival order: removes and returns the
+/// first message `spec` matches, leaving the rest in order; nullopt if
+/// none does.
+inline std::optional<Message> take_match(std::deque<Message>& queue, const MatchSpec& spec) {
+  const auto it =
+      std::find_if(queue.begin(), queue.end(), [&](const Message& m) { return spec.matches(m); });
+  if (it == queue.end()) return std::nullopt;
+  Message m = std::move(*it);
+  queue.erase(it);
+  return m;
+}
 
 }  // namespace ccf::transport

@@ -39,7 +39,6 @@ class ClockedContext final : public runtime::ProcessContext {
   std::optional<Message> try_recv(const runtime::MatchSpec& spec) override {
     return inner_.try_recv(spec);
   }
-  bool probe(const runtime::MatchSpec& spec) override { return inner_.probe(spec); }
   std::optional<Message> recv_until(const runtime::MatchSpec& spec, double deadline) override {
     return inner_.recv_until(spec, deadline);
   }
@@ -47,10 +46,6 @@ class ClockedContext final : public runtime::ProcessContext {
   void compute(double seconds) override { inner_.compute(seconds); }
   void copy(void* dst, const void* src, std::size_t bytes) override {
     inner_.copy(dst, src, bytes);
-  }
-  void charge_copy_cost(std::size_t bytes) override { inner_.charge_copy_cost(bytes); }
-  const runtime::CopyCostModel& copy_cost_model() const override {
-    return inner_.copy_cost_model();
   }
 
   ScriptedContext& inner() { return inner_; }

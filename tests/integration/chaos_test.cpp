@@ -72,12 +72,18 @@ struct RunResult {
   std::uint64_t faults_injected = 0;
 };
 
-RunResult run_system(const Workload& wl, const FrameworkOptions& fw,
-                     std::shared_ptr<FaultInjector> faults) {
+/// E exports "r" to I over one REGL connection.
+Config workload_config(const Workload& wl) {
   Config config;
   config.add_program(ProgramSpec{"E", "h", "/e", wl.exporter_procs, {}});
   config.add_program(ProgramSpec{"I", "h", "/i", wl.importer_procs, {}});
   config.add_connection(ConnectionSpec{"E", "r", "I", "r", MatchPolicy::REGL, 2.5, {}});
+  return config;
+}
+
+RunResult run_system(const Workload& wl, const FrameworkOptions& fw,
+                     std::shared_ptr<FaultInjector> faults) {
+  const Config config = workload_config(wl);
 
   runtime::ClusterOptions cluster_options;
   cluster_options.mode = runtime::ExecutionMode::VirtualTime;
@@ -278,6 +284,33 @@ TEST(Chaos, DroppedShutdownIsSurvivedViaDepartureDetection) {
   for (const auto& stats : run.importer_stats) any_departed |= stats.ft.rep_departed;
   for (const auto& stats : run.exporter_stats) any_departed |= stats.ft.rep_departed;
   EXPECT_TRUE(any_departed);
+}
+
+TEST(Chaos, LostPeerGeometryAcksDoNotHoldTheExporterRep) {
+  // I's rep acknowledges E's geometry shipment, and every such ack is
+  // lost. E's rep re-ships its geometry on each heartbeat tick, but the
+  // connection's ConnFinished settles that: I's workers could commit, and
+  // so finish, only once E's geometry had reached I's rep. The exporters
+  // then finish as in a fault-free run, not after the ledger's retry
+  // limit of heartbeats.
+  const Workload wl = default_workload();
+  const FrameworkOptions fw = tolerant_options();
+  const RunResult reference = run_system(wl, fw, nullptr);
+
+  const transport::ProcId importer_rep = DeploymentLayout(workload_config(wl)).program("I").rep;
+  FaultPlan plan;
+  plan.drop_prob = 1.0;
+  plan.eligible = [importer_rep](transport::ProcId src, transport::ProcId, transport::Tag tag) {
+    return src == importer_rep && tag == kTagPeerMetaAck;
+  };
+  const RunResult run = run_system(wl, fw, std::make_shared<FaultInjector>(plan));
+
+  expect_same_answers(run, reference.per_rank[0], "lost-peer-meta-acks");
+  EXPECT_GT(run.faults_injected, 0u);
+  for (const auto& stats : run.exporter_stats) {
+    EXPECT_LT(stats.finished_at, fw.heartbeat_interval_seconds());
+    EXPECT_FALSE(stats.ft.rep_departed);
+  }
 }
 
 TEST(Chaos, StalledExporterDegradesWhenImporterDepartureNoticeIsLost) {

@@ -111,8 +111,6 @@ TEST(VirtualMode, CopyChargesModeledCost) {
     std::vector<double> a(1000), b(1000);
     ctx.copy(a.data(), b.data(), 8000);
     EXPECT_NEAR(ctx.now(), 1e-3 + 8e-6, 1e-12);
-    ctx.charge_copy_cost(8000);
-    EXPECT_NEAR(ctx.now(), 2 * (1e-3 + 8e-6), 1e-12);
   });
   cluster->run();
 }
@@ -128,18 +126,6 @@ TEST(RealMode, NowIsWallClock) {
   });
   cluster->run();
   EXPECT_GT(cluster->end_time(), 0.0);
-}
-
-TEST(RealMode, ChargeCopyCostIsFree) {
-  ClusterOptions o;
-  o.mode = ExecutionMode::RealThreads;
-  auto cluster = make_cluster(o);
-  cluster->add_process(0, [&](ProcessContext& ctx) {
-    const double t0 = ctx.now();
-    ctx.charge_copy_cost(1 << 30);
-    EXPECT_LT(ctx.now() - t0, 0.5);  // no gigabyte spin happened
-  });
-  cluster->run();
 }
 
 TEST(RealMode, DelayedFinalMessageArrivesAfterItsSenderReturns) {

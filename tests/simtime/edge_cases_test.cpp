@@ -3,11 +3,10 @@
 // simultaneous-event tie-breaking, nested waits.
 #include <gtest/gtest.h>
 
-#include "simtime/virtual_cluster.hpp"
+#include "runtime/virtual_time_cluster.hpp"
 #include "transport/serialize.hpp"
 
-namespace ccf::simtime {
-using transport::kAnyProc;
+namespace ccf::runtime {
 namespace {
 
 transport::Payload payload_of(int v) {
@@ -31,15 +30,15 @@ TEST(VirtualClusterEdge, StaleDeadlineEventIsIgnored) {
   // A recv_until satisfied by a message leaves its deadline event queued;
   // a second recv_until with the SAME deadline must not be woken by the
   // stale event (generation counter check).
-  VirtualCluster::Options opts;
+  ClusterOptions opts;
   opts.latency = std::make_shared<const transport::FixedLatency>(1.0);
-  VirtualCluster cluster(opts);
-  cluster.add_process(0, [&](SimContext& ctx) {
+  VirtualTimeCluster cluster(opts);
+  cluster.add_process(0, [&](ProcessContext& ctx) {
     ctx.send(1, 1, payload_of(7));   // arrives at t=1
-    ctx.advance(2.0);
+    ctx.compute(2.0);
     ctx.send(1, 1, payload_of(8));   // arrives at t=3
   });
-  cluster.add_process(1, [&](SimContext& ctx) {
+  cluster.add_process(1, [&](ProcessContext& ctx) {
     auto m1 = ctx.recv_until(MatchSpec{0, 1}, 5.0);  // satisfied at t=1
     ASSERT_TRUE(m1.has_value());
     EXPECT_DOUBLE_EQ(ctx.now(), 1.0);
@@ -56,11 +55,11 @@ TEST(VirtualClusterEdge, StaleDeadlineEventIsIgnored) {
 }
 
 TEST(VirtualClusterEdge, MaxEventsCapAborts) {
-  VirtualCluster::Options opts;
+  ClusterOptions opts;
   opts.max_events = 100;
-  VirtualCluster cluster(opts);
-  cluster.add_process(0, [&](SimContext& ctx) {
-    for (int i = 0; i < 1000; ++i) ctx.advance(0.001);
+  VirtualTimeCluster cluster(opts);
+  cluster.add_process(0, [&](ProcessContext& ctx) {
+    for (int i = 0; i < 1000; ++i) ctx.compute(0.001);
   });
   EXPECT_THROW(cluster.run(), util::InternalError);
 }
@@ -69,15 +68,15 @@ TEST(VirtualClusterEdge, BandwidthLatencyLetsSmallMessagesOvertake) {
   // With a size-dependent latency model, a small message sent after a big
   // one can arrive first — the documented reason higher layers tag
   // messages instead of relying on per-pair FIFO.
-  VirtualCluster::Options opts;
+  ClusterOptions opts;
   opts.latency = std::make_shared<const transport::BandwidthLatency>(0.0, 1000.0);  // 1 KB/s
-  VirtualCluster cluster(opts);
+  VirtualTimeCluster cluster(opts);
   std::vector<int> order;
-  cluster.add_process(0, [&](SimContext& ctx) {
+  cluster.add_process(0, [&](ProcessContext& ctx) {
     ctx.send(1, 1, payload_bytes(2000));  // ~2s in flight
     ctx.send(1, 2, payload_of(1));        // tiny, ~12 bytes -> arrives first
   });
-  cluster.add_process(1, [&](SimContext& ctx) {
+  cluster.add_process(1, [&](ProcessContext& ctx) {
     Message first = ctx.recv(MatchSpec{0, transport::kAnyTag});
     order.push_back(first.tag);
     Message second = ctx.recv(MatchSpec{0, transport::kAnyTag});
@@ -90,14 +89,14 @@ TEST(VirtualClusterEdge, BandwidthLatencyLetsSmallMessagesOvertake) {
 TEST(VirtualClusterEdge, SimultaneousEventsKeepInsertionOrder) {
   // Two zero-latency messages sent at the same virtual instant arrive in
   // send order (tie-break by event sequence number).
-  VirtualCluster cluster;
+  VirtualTimeCluster cluster;
   std::vector<int> seen;
-  cluster.add_process(0, [&](SimContext& ctx) {
+  cluster.add_process(0, [&](ProcessContext& ctx) {
     ctx.send(1, 1, payload_of(1));
     ctx.send(1, 1, payload_of(2));
     ctx.send(1, 1, payload_of(3));
   });
-  cluster.add_process(1, [&](SimContext& ctx) {
+  cluster.add_process(1, [&](ProcessContext& ctx) {
     for (int i = 0; i < 3; ++i) seen.push_back(value_of(ctx.recv(MatchSpec{0, 1})));
   });
   cluster.run();
@@ -105,11 +104,11 @@ TEST(VirtualClusterEdge, SimultaneousEventsKeepInsertionOrder) {
 }
 
 TEST(VirtualClusterEdge, ZeroAdvanceYieldsButKeepsTime) {
-  VirtualCluster cluster;
-  cluster.add_process(0, [&](SimContext& ctx) {
-    ctx.advance(0.0);
+  VirtualTimeCluster cluster;
+  cluster.add_process(0, [&](ProcessContext& ctx) {
+    ctx.compute(0.0);
     EXPECT_DOUBLE_EQ(ctx.now(), 0.0);
-    ctx.advance(0.0);
+    ctx.compute(0.0);
     EXPECT_DOUBLE_EQ(ctx.now(), 0.0);
   });
   cluster.run();
@@ -117,8 +116,8 @@ TEST(VirtualClusterEdge, ZeroAdvanceYieldsButKeepsTime) {
 }
 
 TEST(VirtualClusterEdge, RecvUntilZeroDeadlineDoesNotBlock) {
-  VirtualCluster cluster;
-  cluster.add_process(0, [&](SimContext& ctx) {
+  VirtualTimeCluster cluster;
+  cluster.add_process(0, [&](ProcessContext& ctx) {
     auto m = ctx.recv_until(MatchSpec{kAnyProc, 1}, 0.0);  // deadline == now
     EXPECT_FALSE(m.has_value());
     EXPECT_DOUBLE_EQ(ctx.now(), 0.0);
@@ -127,9 +126,9 @@ TEST(VirtualClusterEdge, RecvUntilZeroDeadlineDoesNotBlock) {
 }
 
 TEST(VirtualClusterEdge, ManySmallAdvancesAccumulateExactly) {
-  VirtualCluster cluster;
-  cluster.add_process(0, [&](SimContext& ctx) {
-    for (int i = 0; i < 1000; ++i) ctx.advance(0.5);
+  VirtualTimeCluster cluster;
+  cluster.add_process(0, [&](ProcessContext& ctx) {
+    for (int i = 0; i < 1000; ++i) ctx.compute(0.5);
     EXPECT_DOUBLE_EQ(ctx.now(), 500.0);
   });
   cluster.run();
@@ -137,4 +136,4 @@ TEST(VirtualClusterEdge, ManySmallAdvancesAccumulateExactly) {
 }
 
 }  // namespace
-}  // namespace ccf::simtime
+}  // namespace ccf::runtime

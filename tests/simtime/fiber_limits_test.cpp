@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "simtime/virtual_cluster.hpp"
+#include "runtime/virtual_time_cluster.hpp"
 
 // GCC announces sanitizers with __SANITIZE_*__, Clang through __has_feature.
 #ifdef __has_feature
@@ -33,7 +33,7 @@
 #define CCF_HAS_FEATURE(x) 0
 #endif
 
-namespace ccf::simtime {
+namespace ccf::runtime {
 namespace {
 
 /// AddressSanitizer and ThreadSanitizer map shadow memory for the mappings
@@ -86,21 +86,21 @@ struct LoggedLocal {
   int id;
 };
 
-/// `procs` processes that each hold a logged local and advance twice.
-void add_bodies(VirtualCluster& cluster, BodyLog& log, int procs) {
+/// `procs` processes that each hold a logged local and compute twice.
+void add_bodies(VirtualTimeCluster& cluster, BodyLog& log, int procs) {
   log.events.reserve(2 * static_cast<std::size_t>(procs));
   for (int p = 0; p < procs; ++p) {
-    cluster.add_process(p, [&log, p](SimContext& ctx) {
+    cluster.add_process(p, [&log, p](ProcessContext& ctx) {
       LoggedLocal local(log, p + 1);
-      ctx.advance(1.0);
-      ctx.advance(1.0);
+      ctx.compute(1.0);
+      ctx.compute(1.0);
     });
   }
 }
 
 /// Runs the cluster, expecting it to throw an error naming `failed_call`,
 /// and checks the bodies' log. Returns a child exit code.
-int expect_clean_failure(VirtualCluster& cluster, const BodyLog& log,
+int expect_clean_failure(VirtualTimeCluster& cluster, const BodyLog& log,
                          const std::string& failed_call, int expected_starts) {
   try {
     cluster.run();
@@ -267,12 +267,12 @@ TEST(FiberLimits, FullMapTableFailsTheRunInsteadOfCrashing) {
   if (const char* why = map_table_unfillable(limit)) GTEST_SKIP() << why;
   const int status = run_in_child([limit] {
     {
-      VirtualCluster warm;
+      VirtualTimeCluster warm;
       BodyLog log;
       add_bodies(warm, log, 4);
       warm.run();
     }
-    VirtualCluster cluster;
+    VirtualTimeCluster cluster;
     BodyLog log;
     add_bodies(cluster, log, 40);
     MapTableFiller filler;
@@ -290,7 +290,7 @@ TEST(FiberLimits, TooFewMapEntriesForGuardPagesRunOnCanaryStacks) {
   ASSERT_GT(limit, 0) << "cannot read /proc/sys/vm/max_map_count";
   if (const char* why = map_table_unfillable(limit)) GTEST_SKIP() << why;
   const int status = run_in_child([limit] {
-    VirtualCluster cluster;
+    VirtualTimeCluster cluster;
     BodyLog log;
     add_bodies(cluster, log, 8);
     MapTableFiller filler;
@@ -330,11 +330,11 @@ TEST(FiberLimits, OverrunCanaryStackAbortsNamingTheProcess) {
       [limit] {
         const rlimit no_core{0, 0};
         ::setrlimit(RLIMIT_CORE, &no_core);
-        VirtualCluster cluster;
-        cluster.add_process(0, [](SimContext& ctx) { ctx.advance(1.0); });
-        cluster.add_process(1, [](SimContext& ctx) {
+        VirtualTimeCluster cluster;
+        cluster.add_process(0, [](ProcessContext& ctx) { ctx.compute(1.0); });
+        cluster.add_process(1, [](ProcessContext& ctx) {
           overrun_stack(thread_stack_bytes());
-          ctx.advance(1.0);
+          ctx.compute(1.0);
         });
         MapTableFiller filler;
         if (!filler.fill_to(limit - 3)) return kSetupFailed;
@@ -356,7 +356,7 @@ TEST(FiberLimits, StackMapFailureUnwindsExactlyTheMappedBodies) {
   // stack mapping past it fails, and only the bodies that already had a
   // stack may run, each to its unwinding.
   const int status = run_in_child([] {
-    VirtualCluster cluster;
+    VirtualTimeCluster cluster;
     BodyLog log;
     add_bodies(cluster, log, 40);
     const auto page = static_cast<long>(::sysconf(_SC_PAGESIZE));
@@ -372,4 +372,4 @@ TEST(FiberLimits, StackMapFailureUnwindsExactlyTheMappedBodies) {
 }
 
 }  // namespace
-}  // namespace ccf::simtime
+}  // namespace ccf::runtime

@@ -6,11 +6,11 @@
 #include <memory>
 #include <string>
 
-#include "simtime/virtual_cluster.hpp"
+#include "runtime/virtual_time_cluster.hpp"
 #include "transport/fault.hpp"
 #include "transport/serialize.hpp"
 
-namespace ccf::simtime {
+namespace ccf::runtime {
 namespace {
 
 transport::Payload payload_of(int v) {
@@ -19,17 +19,11 @@ transport::Payload payload_of(int v) {
   return w.take();
 }
 
-VirtualCluster::Options journaling() {
-  VirtualCluster::Options opts;
-  opts.journal = true;
-  return opts;
-}
-
-void workload(VirtualCluster& cluster) {
+void workload(VirtualTimeCluster& cluster) {
   for (int p = 0; p < 3; ++p) {
-    cluster.add_process(p, [p](SimContext& ctx) {
+    cluster.add_process(p, [p](ProcessContext& ctx) {
       for (int i = 0; i < 4; ++i) {
-        ctx.advance(0.1 * (p + 1));
+        ctx.compute(0.1 * (p + 1));
         ctx.send((p + 1) % 3, 5, payload_of(p * 10 + i));
         (void)ctx.recv(MatchSpec{(p + 2) % 3, 5});
       }
@@ -38,21 +32,22 @@ void workload(VirtualCluster& cluster) {
 }
 
 TEST(Journal, DisabledByDefault) {
-  VirtualCluster cluster;
+  VirtualTimeCluster cluster;
   workload(cluster);
   cluster.run();
   EXPECT_TRUE(cluster.journal().empty());
 }
 
 TEST(Journal, RecordsEveryProcessedEvent) {
-  VirtualCluster cluster(journaling());
+  VirtualTimeCluster cluster;
+  cluster.record_journal();
   workload(cluster);
   cluster.run();
   EXPECT_EQ(cluster.journal().size(), cluster.events_processed());
   // Delivery entries carry sender, tag, and size.
   std::size_t deliveries = 0;
   for (const auto& e : cluster.journal()) {
-    if (e.kind == VirtualCluster::JournalEntry::Kind::Delivery) {
+    if (e.kind == VirtualTimeCluster::EventKind::Delivery) {
       ++deliveries;
       EXPECT_GE(e.src, 0);
       EXPECT_EQ(e.tag, 5);
@@ -67,10 +62,12 @@ TEST(Journal, RecordsEveryProcessedEvent) {
 }
 
 TEST(Journal, IdenticalAcrossRuns) {
-  VirtualCluster a(journaling());
+  VirtualTimeCluster a;
+  a.record_journal();
   workload(a);
   a.run();
-  VirtualCluster b(journaling());
+  VirtualTimeCluster b;
+  b.record_journal();
   workload(b);
   b.run();
   ASSERT_EQ(a.journal().size(), b.journal().size());
@@ -81,21 +78,21 @@ TEST(Journal, IdenticalAcrossRuns) {
 }
 
 TEST(Journal, BoundedByMax) {
-  VirtualCluster::Options opts = journaling();
-  opts.journal_max = 5;
-  VirtualCluster cluster(opts);
+  VirtualTimeCluster cluster;
+  cluster.record_journal(5);
   workload(cluster);
   cluster.run();
   EXPECT_EQ(cluster.journal().size(), 5u);
 }
 
 TEST(Journal, ListingMentionsKindsAndTags) {
-  VirtualCluster cluster(journaling());
-  cluster.add_process(0, [](SimContext& ctx) {
+  VirtualTimeCluster cluster;
+  cluster.record_journal();
+  cluster.add_process(0, [](ProcessContext& ctx) {
     ctx.send(1, 42, payload_of(1));
-    ctx.advance(1.0);
+    ctx.compute(1.0);
   });
-  cluster.add_process(1, [](SimContext& ctx) { (void)ctx.recv(MatchSpec{0, 42}); });
+  cluster.add_process(1, [](ProcessContext& ctx) { (void)ctx.recv(MatchSpec{0, 42}); });
   cluster.run();
   const std::string listing = cluster.journal_listing();
   EXPECT_NE(listing.find("resume proc 0"), std::string::npos);
@@ -113,11 +110,12 @@ std::uint64_t fnv1a(const std::string& text) {
 
 TEST(Journal, GoldenRingScenarioKeepsItsEventOrder) {
   // Pins the executor's event order, tie-breaking included, on a 64-proc
-  // ring that makes every SimContext call and meets every fault kind. The
-  // digest was recorded from the thread-per-process executor; an executor
-  // change that reorders any event, however slightly, changes it. The
-  // second run takes the stacks the first one gave back to the pool, at
-  // other addresses than fresh ones, and must not reorder anything either.
+  // ring that makes every ProcessContext call but copy() (a memcpy and a
+  // compute()) and meets every fault kind. The digest was recorded from
+  // the thread-per-process executor; an executor change that reorders any
+  // event, however slightly, changes it. The second run takes the stacks
+  // the first one gave back to the pool, at other addresses than fresh
+  // ones, and must not reorder anything either.
   constexpr int kProcs = 64;
   constexpr transport::Tag kRing = 1;   // faulted: dropped, duplicated, delayed
   constexpr transport::Tag kToken = 2;  // lossless blocking exchange
@@ -125,7 +123,7 @@ TEST(Journal, GoldenRingScenarioKeepsItsEventOrder) {
   constexpr transport::Tag kLate = 4;   // reaches a finished proc
   for (int run = 0; run < 2; ++run) {
     SCOPED_TRACE(run == 0 ? "first run" : "run on recycled stacks");
-    VirtualCluster::Options opts = journaling();
+    ClusterOptions opts;
     opts.latency = std::make_shared<const transport::BandwidthLatency>(1e-4, 1e6);
     transport::FaultPlan plan;
     plan.seed = 2024;
@@ -136,13 +134,14 @@ TEST(Journal, GoldenRingScenarioKeepsItsEventOrder) {
     plan.delay_max_seconds = 3e-3;
     plan.eligible = [](ProcId, ProcId, Tag tag) { return tag == kRing; };
     opts.faults = std::make_shared<transport::FaultInjector>(plan);
-    VirtualCluster cluster(opts);
+    VirtualTimeCluster cluster(opts);
+    cluster.record_journal();
     for (int p = 0; p < kProcs; ++p) {
-      cluster.add_process(p, [p](SimContext& ctx) {
+      cluster.add_process(p, [p](ProcessContext& ctx) {
         const ProcId right = (p + 1) % kProcs;
         const ProcId left = (p + kProcs - 1) % kProcs;
         for (int round = 0; round < 6; ++round) {
-          ctx.advance(1e-4 * ((p * 7 + round) % 5 + 1));
+          ctx.compute(1e-4 * ((p * 7 + round) % 5 + 1));
           ctx.send(right, kRing, payload_of(round));
           ctx.send(right, kToken, payload_of(round));
           ctx.send(p, kSelf, payload_of(round));
@@ -151,10 +150,10 @@ TEST(Journal, GoldenRingScenarioKeepsItsEventOrder) {
           // times out or leaves its deadline event stale in the queue.
           (void)ctx.recv_until(MatchSpec{left, kLate}, ctx.now());
           (void)ctx.recv_until(MatchSpec{left, kRing}, ctx.now() + 1e-3 * (p % 3 + 1));
-          if (ctx.probe(MatchSpec{p, kSelf})) (void)ctx.try_recv(MatchSpec{p, kSelf});
+          (void)ctx.try_recv(MatchSpec{p, kSelf});
         }
         if (p % 2 == 1) {
-          ctx.advance(0.1);
+          ctx.compute(0.1);
           ctx.send(left, kLate, payload_of(p));  // left neighbour has returned
         }
       });
@@ -167,8 +166,8 @@ TEST(Journal, GoldenRingScenarioKeepsItsEventOrder) {
     std::uint64_t deliveries = 0;
     std::uint64_t deadlines = 0;
     for (const auto& e : cluster.journal()) {
-      deliveries += e.kind == VirtualCluster::JournalEntry::Kind::Delivery ? 1 : 0;
-      deadlines += e.kind == VirtualCluster::JournalEntry::Kind::Deadline ? 1 : 0;
+      deliveries += e.kind == VirtualTimeCluster::EventKind::Delivery ? 1 : 0;
+      deadlines += e.kind == VirtualTimeCluster::EventKind::Deadline ? 1 : 0;
     }
     EXPECT_GT(deadlines, 0u);
     EXPECT_GT(deliveries, cluster.messages_delivered());  // some reached finished procs
@@ -179,4 +178,4 @@ TEST(Journal, GoldenRingScenarioKeepsItsEventOrder) {
 }
 
 }  // namespace
-}  // namespace ccf::simtime
+}  // namespace ccf::runtime

@@ -15,11 +15,10 @@
 #include <string>
 #include <vector>
 
-#include "simtime/virtual_cluster.hpp"
+#include "runtime/virtual_time_cluster.hpp"
 #include "transport/serialize.hpp"
 
-namespace ccf::simtime {
-using transport::kAnyProc;
+namespace ccf::runtime {
 namespace {
 
 transport::Payload payload_of(int v) {
@@ -34,13 +33,13 @@ int value_of(const Message& m) {
 }
 
 TEST(VirtualCluster, AdvanceAccumulatesTime) {
-  VirtualCluster cluster;
+  VirtualTimeCluster cluster;
   double end = -1;
-  cluster.add_process(0, [&](SimContext& ctx) {
+  cluster.add_process(0, [&](ProcessContext& ctx) {
     EXPECT_EQ(ctx.now(), 0.0);
-    ctx.advance(1.5);
+    ctx.compute(1.5);
     EXPECT_DOUBLE_EQ(ctx.now(), 1.5);
-    ctx.advance(0.25);
+    ctx.compute(0.25);
     end = ctx.now();
   });
   cluster.run();
@@ -49,20 +48,20 @@ TEST(VirtualCluster, AdvanceAccumulatesTime) {
 }
 
 TEST(VirtualCluster, ProcessesInterleaveInTimeOrder) {
-  VirtualCluster cluster;
+  VirtualTimeCluster cluster;
   std::vector<int> order;
   // Proc 0 acts at t=1,3 ; proc 1 acts at t=2,4. The scheduler must
   // interleave them by virtual time, not by registration.
-  cluster.add_process(0, [&](SimContext& ctx) {
-    ctx.advance(1);
+  cluster.add_process(0, [&](ProcessContext& ctx) {
+    ctx.compute(1);
     order.push_back(10);
-    ctx.advance(2);
+    ctx.compute(2);
     order.push_back(11);
   });
-  cluster.add_process(1, [&](SimContext& ctx) {
-    ctx.advance(2);
+  cluster.add_process(1, [&](ProcessContext& ctx) {
+    ctx.compute(2);
     order.push_back(20);
-    ctx.advance(2);
+    ctx.compute(2);
     order.push_back(21);
   });
   cluster.run();
@@ -70,15 +69,15 @@ TEST(VirtualCluster, ProcessesInterleaveInTimeOrder) {
 }
 
 TEST(VirtualCluster, MessageDeliveryRespectsLatency) {
-  VirtualCluster::Options opts;
+  ClusterOptions opts;
   opts.latency = std::make_shared<const transport::FixedLatency>(5.0);
-  VirtualCluster cluster(opts);
+  VirtualTimeCluster cluster(opts);
   double recv_time = -1;
-  cluster.add_process(0, [&](SimContext& ctx) {
-    ctx.advance(1.0);
+  cluster.add_process(0, [&](ProcessContext& ctx) {
+    ctx.compute(1.0);
     ctx.send(1, 7, payload_of(99));
   });
-  cluster.add_process(1, [&](SimContext& ctx) {
+  cluster.add_process(1, [&](ProcessContext& ctx) {
     Message m = ctx.recv(MatchSpec{0, 7});
     recv_time = ctx.now();
     EXPECT_EQ(value_of(m), 99);
@@ -88,11 +87,11 @@ TEST(VirtualCluster, MessageDeliveryRespectsLatency) {
 }
 
 TEST(VirtualCluster, ReceiverAheadGetsMessageAtOwnTime) {
-  VirtualCluster cluster;  // zero latency
+  VirtualTimeCluster cluster;  // zero latency
   double recv_time = -1;
-  cluster.add_process(0, [&](SimContext& ctx) { ctx.send(1, 1, payload_of(1)); });
-  cluster.add_process(1, [&](SimContext& ctx) {
-    ctx.advance(10.0);  // receiver is far ahead when the message arrives
+  cluster.add_process(0, [&](ProcessContext& ctx) { ctx.send(1, 1, payload_of(1)); });
+  cluster.add_process(1, [&](ProcessContext& ctx) {
+    ctx.compute(10.0);  // receiver is far ahead when the message arrives
     (void)ctx.recv(MatchSpec{0, 1});
     recv_time = ctx.now();
   });
@@ -102,12 +101,12 @@ TEST(VirtualCluster, ReceiverAheadGetsMessageAtOwnTime) {
 
 TEST(VirtualCluster, DeterministicAcrossRuns) {
   auto run_once = [] {
-    VirtualCluster cluster;
+    VirtualTimeCluster cluster;
     std::vector<int> log;
     for (int p = 0; p < 4; ++p) {
-      cluster.add_process(p, [&, p](SimContext& ctx) {
+      cluster.add_process(p, [&, p](ProcessContext& ctx) {
         for (int i = 0; i < 3; ++i) {
-          ctx.advance(0.1 * (p + 1));
+          ctx.compute(0.1 * (p + 1));
           ctx.send((p + 1) % 4, 5, payload_of(p * 10 + i));
         }
         for (int i = 0; i < 3; ++i) log.push_back(value_of(ctx.recv(MatchSpec{kAnyProc, 5})));
@@ -122,15 +121,14 @@ TEST(VirtualCluster, DeterministicAcrossRuns) {
   EXPECT_EQ(a.size(), 12u);
 }
 
-TEST(VirtualCluster, TryRecvAndProbe) {
-  VirtualCluster cluster;
-  cluster.add_process(0, [&](SimContext& ctx) {
+TEST(VirtualCluster, TryRecvTakesOnlyDeliveredMessages) {
+  VirtualTimeCluster cluster;
+  cluster.add_process(0, [&](ProcessContext& ctx) {
     ctx.send(1, 3, payload_of(5));
   });
-  cluster.add_process(1, [&](SimContext& ctx) {
+  cluster.add_process(1, [&](ProcessContext& ctx) {
     EXPECT_FALSE(ctx.try_recv(MatchSpec{0, 3}).has_value());  // not delivered yet at t=0
-    ctx.advance(1.0);  // after sender ran
-    EXPECT_TRUE(ctx.probe(MatchSpec{0, 3}));
+    ctx.compute(1.0);  // after sender ran
     auto m = ctx.try_recv(MatchSpec{0, 3});
     ASSERT_TRUE(m.has_value());
     EXPECT_EQ(value_of(*m), 5);
@@ -139,8 +137,8 @@ TEST(VirtualCluster, TryRecvAndProbe) {
 }
 
 TEST(VirtualCluster, RecvUntilTimesOutAtDeadline) {
-  VirtualCluster cluster;
-  cluster.add_process(0, [&](SimContext& ctx) {
+  VirtualTimeCluster cluster;
+  cluster.add_process(0, [&](ProcessContext& ctx) {
     auto m = ctx.recv_until(MatchSpec{kAnyProc, 9}, 3.0);
     EXPECT_FALSE(m.has_value());
     EXPECT_DOUBLE_EQ(ctx.now(), 3.0);  // woke exactly at the deadline
@@ -149,11 +147,11 @@ TEST(VirtualCluster, RecvUntilTimesOutAtDeadline) {
 }
 
 TEST(VirtualCluster, RecvUntilReturnsEarlyMessage) {
-  VirtualCluster::Options opts;
+  ClusterOptions opts;
   opts.latency = std::make_shared<const transport::FixedLatency>(1.0);
-  VirtualCluster cluster(opts);
-  cluster.add_process(0, [&](SimContext& ctx) { ctx.send(1, 9, payload_of(4)); });
-  cluster.add_process(1, [&](SimContext& ctx) {
+  VirtualTimeCluster cluster(opts);
+  cluster.add_process(0, [&](ProcessContext& ctx) { ctx.send(1, 9, payload_of(4)); });
+  cluster.add_process(1, [&](ProcessContext& ctx) {
     auto m = ctx.recv_until(MatchSpec{0, 9}, 100.0);
     ASSERT_TRUE(m.has_value());
     EXPECT_DOUBLE_EQ(ctx.now(), 1.0);
@@ -162,15 +160,15 @@ TEST(VirtualCluster, RecvUntilReturnsEarlyMessage) {
 }
 
 TEST(VirtualCluster, DeadlockDetected) {
-  VirtualCluster cluster;
-  cluster.add_process(0, [&](SimContext& ctx) { (void)ctx.recv(MatchSpec{1, 1}); });
-  cluster.add_process(1, [&](SimContext& ctx) { (void)ctx.recv(MatchSpec{0, 1}); });
+  VirtualTimeCluster cluster;
+  cluster.add_process(0, [&](ProcessContext& ctx) { (void)ctx.recv(MatchSpec{1, 1}); });
+  cluster.add_process(1, [&](ProcessContext& ctx) { (void)ctx.recv(MatchSpec{0, 1}); });
   EXPECT_THROW(cluster.run(), DeadlockError);
 }
 
 TEST(VirtualCluster, DeadlockReportNamesBlockedProcs) {
-  VirtualCluster cluster;
-  cluster.add_process(7, [&](SimContext& ctx) { (void)ctx.recv(MatchSpec{7, 123}); });
+  VirtualTimeCluster cluster;
+  cluster.add_process(7, [&](ProcessContext& ctx) { (void)ctx.recv(MatchSpec{7, 123}); });
   try {
     cluster.run();
     FAIL() << "expected deadlock";
@@ -182,9 +180,9 @@ TEST(VirtualCluster, DeadlockReportNamesBlockedProcs) {
 }
 
 TEST(VirtualCluster, BodyExceptionPropagates) {
-  VirtualCluster cluster;
-  cluster.add_process(0, [&](SimContext&) { throw std::runtime_error("boom"); });
-  cluster.add_process(1, [&](SimContext& ctx) {
+  VirtualTimeCluster cluster;
+  cluster.add_process(0, [&](ProcessContext&) { throw std::runtime_error("boom"); });
+  cluster.add_process(1, [&](ProcessContext& ctx) {
     (void)ctx.recv(MatchSpec{kAnyProc, 1});  // would deadlock; abort must free it
   });
   EXPECT_THROW(cluster.run(), std::runtime_error);
@@ -194,16 +192,16 @@ TEST(VirtualCluster, YieldInsideCatchHandlerKeepsEachProcsException) {
   // The exception a handler is working on belongs to its process: proc 1
   // throws while proc 0 is suspended inside its handler, and each must
   // still rethrow its own exception afterwards.
-  VirtualCluster cluster;
+  VirtualTimeCluster cluster;
   std::vector<std::string> rethrown(2);
   std::vector<int> uncaught(2, -1);
   for (int p = 0; p < 2; ++p) {
-    cluster.add_process(p, [&, p](SimContext& ctx) {
+    cluster.add_process(p, [&, p](ProcessContext& ctx) {
       const auto slot = static_cast<std::size_t>(p);
       try {
         throw std::runtime_error("proc " + std::to_string(p));
       } catch (const std::exception&) {
-        ctx.advance(1.0);
+        ctx.compute(1.0);
         try {
           throw;
         } catch (const std::exception& e) {
@@ -234,12 +232,12 @@ struct BodyLocals {
 };
 
 TEST(VirtualCluster, DeadlockUnwindsEveryStartedBody) {
-  VirtualCluster cluster;
+  VirtualTimeCluster cluster;
   BodyLocals locals;
   for (int p = 0; p < 4; ++p) {
-    cluster.add_process(p, [&](SimContext& ctx) {
+    cluster.add_process(p, [&](ProcessContext& ctx) {
       BodyLocals::Guard guard(locals);
-      ctx.advance(0.5);
+      ctx.compute(0.5);
       (void)ctx.recv(MatchSpec{kAnyProc, 99});  // never sent
     });
   }
@@ -249,22 +247,22 @@ TEST(VirtualCluster, DeadlockUnwindsEveryStartedBody) {
 }
 
 TEST(VirtualCluster, BodyExceptionUnwindsStartedBodiesAndSkipsTheRest) {
-  VirtualCluster cluster;
+  VirtualTimeCluster cluster;
   BodyLocals locals;
   bool late_body_ran = false;
-  cluster.add_process(0, [&](SimContext& ctx) {
+  cluster.add_process(0, [&](ProcessContext& ctx) {
     BodyLocals::Guard guard(locals);
     (void)ctx.recv(MatchSpec{kAnyProc, 1});
   });
-  cluster.add_process(1, [&](SimContext& ctx) {
+  cluster.add_process(1, [&](ProcessContext& ctx) {
     BodyLocals::Guard guard(locals);
-    ctx.advance(1.0);  // proc 0 stays suspended in recv meanwhile
+    ctx.compute(1.0);  // proc 0 stays suspended in recv meanwhile
   });
-  cluster.add_process(2, [&](SimContext&) {
+  cluster.add_process(2, [&](ProcessContext&) {
     BodyLocals::Guard guard(locals);
     throw std::runtime_error("boom");
   });
-  cluster.add_process(3, [&](SimContext&) { late_body_ran = true; });  // queued after 2
+  cluster.add_process(3, [&](ProcessContext&) { late_body_ran = true; });  // queued after 2
   EXPECT_THROW(cluster.run(), std::runtime_error);
   EXPECT_EQ(locals.constructed, 3);
   EXPECT_EQ(locals.destroyed, 3);
@@ -272,14 +270,14 @@ TEST(VirtualCluster, BodyExceptionUnwindsStartedBodiesAndSkipsTheRest) {
 }
 
 TEST(VirtualCluster, MaxEventsUnwindsEveryStartedBody) {
-  VirtualCluster::Options opts;
+  ClusterOptions opts;
   opts.max_events = 50;
-  VirtualCluster cluster(opts);
+  VirtualTimeCluster cluster(opts);
   BodyLocals locals;
   for (int p = 0; p < 3; ++p) {
-    cluster.add_process(p, [&](SimContext& ctx) {
+    cluster.add_process(p, [&](ProcessContext& ctx) {
       BodyLocals::Guard guard(locals);
-      for (;;) ctx.advance(0.001);
+      for (;;) ctx.compute(0.001);
     });
   }
   EXPECT_THROW(cluster.run(), util::InternalError);
@@ -290,17 +288,17 @@ TEST(VirtualCluster, MaxEventsUnwindsEveryStartedBody) {
 TEST(VirtualCluster, EachProcKeepsItsOwnRoundingMode) {
   // The floating-point control state belongs to the process: proc 0
   // rounds downward across a yield while proc 1 runs with the default.
-  VirtualCluster cluster;
+  VirtualTimeCluster cluster;
   std::vector<int> seen(3, -1);
-  cluster.add_process(0, [&](SimContext& ctx) {
+  cluster.add_process(0, [&](ProcessContext& ctx) {
     std::fesetround(FE_DOWNWARD);
-    ctx.advance(1.0);
+    ctx.compute(1.0);
     seen[0] = std::fegetround();
     std::fesetround(FE_TONEAREST);
   });
-  cluster.add_process(1, [&](SimContext& ctx) {
+  cluster.add_process(1, [&](ProcessContext& ctx) {
     seen[1] = std::fegetround();
-    ctx.advance(2.0);
+    ctx.compute(2.0);
     seen[2] = std::fegetround();
   });
   cluster.run();
@@ -309,11 +307,11 @@ TEST(VirtualCluster, EachProcKeepsItsOwnRoundingMode) {
 
 /// Recurses `depth` frames of 4 KiB each, yields at the bottom, and
 /// returns the number of frames whose contents survived.
-int deep_frames(SimContext& ctx, int depth) {
+int deep_frames(ProcessContext& ctx, int depth) {
   volatile char frame[4096];
   frame[4095] = 1;
   if (depth == 0) {
-    ctx.advance(1.0);
+    ctx.compute(1.0);
     return frame[4095];
   }
   return deep_frames(ctx, depth - 1) + frame[4095];
@@ -323,10 +321,10 @@ TEST(VirtualCluster, BodiesGetThreadSizedStacks) {
   // 2 MiB of frames, suspended at the bottom while the other proc runs;
   // the second run does it on the stacks the first gave back.
   for (int run = 0; run < 2; ++run) {
-    VirtualCluster cluster;
+    VirtualTimeCluster cluster;
     std::vector<int> sums(2, -1);
     for (int p = 0; p < 2; ++p) {
-      cluster.add_process(p, [&, p](SimContext& ctx) {
+      cluster.add_process(p, [&, p](ProcessContext& ctx) {
         sums[static_cast<std::size_t>(p)] = deep_frames(ctx, 512);
       });
     }
@@ -346,11 +344,11 @@ TEST(VirtualCluster, SecondRunOfTheSameSizeMapsNoNewStack) {
   constexpr int kProcs = 16;
   auto frames_of_a_run = [] {
     std::vector<std::uintptr_t> frames;
-    VirtualCluster cluster;
+    VirtualTimeCluster cluster;
     for (int p = 0; p < kProcs; ++p) {
-      cluster.add_process(p, [&frames](SimContext& ctx) {
+      cluster.add_process(p, [&frames](ProcessContext& ctx) {
         frames.push_back(reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0)));
-        ctx.advance(1.0);
+        ctx.compute(1.0);
       });
     }
     cluster.run();
@@ -376,10 +374,10 @@ TEST(VirtualCluster, SecondRunOfTheSameSizeMapsNoNewStack) {
 }
 
 TEST(VirtualCluster, MessageToFinishedProcessIsDropped) {
-  VirtualCluster cluster;
-  cluster.add_process(0, [&](SimContext&) {});
-  cluster.add_process(1, [&](SimContext& ctx) {
-    ctx.advance(1.0);
+  VirtualTimeCluster cluster;
+  cluster.add_process(0, [&](ProcessContext&) {});
+  cluster.add_process(1, [&](ProcessContext& ctx) {
+    ctx.compute(1.0);
     ctx.send(0, 1, payload_of(1));  // proc 0 already finished
   });
   cluster.run();
@@ -387,62 +385,62 @@ TEST(VirtualCluster, MessageToFinishedProcessIsDropped) {
 }
 
 TEST(VirtualCluster, SendToUnknownProcessThrows) {
-  VirtualCluster cluster;
-  cluster.add_process(0, [&](SimContext& ctx) { ctx.send(99, 1, payload_of(1)); });
+  VirtualTimeCluster cluster;
+  cluster.add_process(0, [&](ProcessContext& ctx) { ctx.send(99, 1, payload_of(1)); });
   EXPECT_THROW(cluster.run(), util::InvalidArgument);
 }
 
 TEST(VirtualCluster, ValidatesRegistration) {
-  VirtualCluster cluster;
-  cluster.add_process(0, [](SimContext&) {});
-  EXPECT_THROW(cluster.add_process(0, [](SimContext&) {}), util::InvalidArgument);
-  EXPECT_THROW(cluster.add_process(-2, [](SimContext&) {}), util::InvalidArgument);
+  VirtualTimeCluster cluster;
+  cluster.add_process(0, [](ProcessContext&) {});
+  EXPECT_THROW(cluster.add_process(0, [](ProcessContext&) {}), util::InvalidArgument);
+  EXPECT_THROW(cluster.add_process(-2, [](ProcessContext&) {}), util::InvalidArgument);
   EXPECT_THROW(cluster.add_process(1, nullptr), util::InvalidArgument);
 }
 
 TEST(VirtualCluster, EmptyClusterRejected) {
-  VirtualCluster cluster;
+  VirtualTimeCluster cluster;
   EXPECT_THROW(cluster.run(), util::InvalidArgument);
 }
 
 TEST(VirtualCluster, NegativeAdvanceRejected) {
-  VirtualCluster cluster;
-  cluster.add_process(0, [](SimContext& ctx) { ctx.advance(-1.0); });
+  VirtualTimeCluster cluster;
+  cluster.add_process(0, [](ProcessContext& ctx) { ctx.compute(-1.0); });
   EXPECT_THROW(cluster.run(), util::InvalidArgument);
 }
 
 TEST(VirtualCluster, CountsEventsAndDeliveries) {
-  VirtualCluster cluster;
-  cluster.add_process(0, [&](SimContext& ctx) {
+  VirtualTimeCluster cluster;
+  cluster.add_process(0, [&](ProcessContext& ctx) {
     ctx.send(1, 1, payload_of(1));
-    ctx.advance(1.0);
+    ctx.compute(1.0);
   });
-  cluster.add_process(1, [&](SimContext& ctx) { (void)ctx.recv(MatchSpec{0, 1}); });
+  cluster.add_process(1, [&](ProcessContext& ctx) { (void)ctx.recv(MatchSpec{0, 1}); });
   cluster.run();
   EXPECT_EQ(cluster.messages_delivered(), 1u);
   EXPECT_GT(cluster.events_processed(), 2u);
 }
 
 TEST(VirtualCluster, SelfSendWorks) {
-  VirtualCluster cluster;
-  cluster.add_process(0, [&](SimContext& ctx) {
+  VirtualTimeCluster cluster;
+  cluster.add_process(0, [&](ProcessContext& ctx) {
     ctx.send(0, 1, payload_of(77));
-    ctx.advance(0.1);
+    ctx.compute(0.1);
     EXPECT_EQ(value_of(ctx.recv(MatchSpec{0, 1})), 77);
   });
   cluster.run();
 }
 
 TEST(VirtualCluster, ManyProcessesStress) {
-  VirtualCluster cluster;
+  VirtualTimeCluster cluster;
   constexpr int kProcs = 40;
   std::vector<int> received(kProcs, 0);
   for (int p = 0; p < kProcs; ++p) {
-    cluster.add_process(p, [&, p](SimContext& ctx) {
+    cluster.add_process(p, [&, p](ProcessContext& ctx) {
       // Ring: send to the next process, receive from the previous.
       for (int i = 0; i < 10; ++i) {
         ctx.send((p + 1) % kProcs, 2, payload_of(i));
-        ctx.advance(0.01);
+        ctx.compute(0.01);
         (void)ctx.recv(MatchSpec{(p + kProcs - 1) % kProcs, 2});
         received[static_cast<std::size_t>(p)]++;
       }
@@ -453,4 +451,4 @@ TEST(VirtualCluster, ManyProcessesStress) {
 }
 
 }  // namespace
-}  // namespace ccf::simtime
+}  // namespace ccf::runtime
