@@ -19,11 +19,6 @@ void BufferPool::attach_memory(mem::MemoryGovernor* governor, mem::SpillStore* s
   spill_ = spill;
 }
 
-void BufferPool::park_frame(SnapshotFrame frame) {
-  if (arena_.size() >= kArenaCapacity) return;
-  arena_.push_back(std::move(frame));
-}
-
 std::shared_ptr<BufferPool::SnapshotFrame> BufferPool::acquire_frame(std::size_t frame_bytes) {
   // Best fit from the free list: smallest recycled frame that holds the
   // request. Steady-state coupling stores same-sized snapshots, so this
@@ -190,8 +185,8 @@ void BufferPool::free_entry_locked(std::map<Timestamp, Entry>::iterator it) {
   --stats_.live_entries;
   if (it->second.frame == nullptr) {
     // Spilled entry proven non-matchable while on disk (buddy-help or a
-    // low-water advance): drop the file, no restore round-trip.
-    spill_->release(it->second.ticket);
+    // low-water advance): its file goes at reclaim(), with no restore.
+    freed_tickets_.push_back(it->second.ticket);
     ++stats_.spill_frees;
     --stats_.live_spilled_entries;
     stats_.live_spilled_bytes -= bytes;
@@ -212,9 +207,15 @@ void BufferPool::free_entry_locked(std::map<Timestamp, Entry>::iterator it) {
   if (frame.use_count() == 1) {
     SnapshotFrame parked = std::move(*frame);
     frame.reset();
-    park_frame(std::move(parked));
+    arena_.push_back(std::move(parked));
   }
   entries_.erase(it);
+}
+
+void BufferPool::reclaim() {
+  if (arena_.size() > kArenaCapacity) arena_.resize(kArenaCapacity);
+  for (const auto& ticket : freed_tickets_) spill_->release(ticket);
+  freed_tickets_.clear();
 }
 
 std::optional<BufferPool::Freed> BufferPool::drop(Timestamp t, int conn_index) {

@@ -17,6 +17,13 @@
 // store allocates only the small shared handle that in-flight payloads
 // alias (see free_entry_locked for why the handle is not recycled).
 //
+// A free has two halves. The logical half (drop/drop_below) erases the
+// entry and moves every counter and the governor at once. The physical
+// half waits for reclaim(): until then freed frames stay parked and the
+// spill files of freed snapshots stay on disk, so the exporter can answer
+// a request and ship its data before it hands memory back to the system
+// or unlinks files.
+//
 // The pool charges the modeled copy cost through ProcessContext::copy, so
 // the virtual-time experiments see the same buffering cost structure the
 // paper measures, and tracks Eq.(1)/(2) accounting: the cost of snapshots
@@ -127,6 +134,12 @@ class BufferPool {
   /// the entries that became fully free, ascending.
   std::vector<Freed> drop_below(Timestamp t, int conn_index);
 
+  /// The physical half of the frees since the last call: trims the arena
+  /// back to kArenaCapacity frames, returning the rest to the heap, and
+  /// deletes the spill files of freed snapshots. Until then a store or a
+  /// restore can take any parked frame.
+  void reclaim();
+
   /// Timestamps currently buffered (ascending).
   std::vector<Timestamp> buffered_timestamps() const;
 
@@ -188,15 +201,15 @@ class BufferPool {
     mem::SpillStore::Ticket ticket;  ///< valid only while frame is null
   };
 
-  /// Cap on frames parked on the free list awaiting reuse.
+  /// Frames the free list keeps across reclaim() calls.
   static constexpr std::size_t kArenaCapacity = 8;
 
   std::shared_ptr<SnapshotFrame> acquire_frame(std::size_t frame_bytes);
-  void park_frame(SnapshotFrame frame);
   void free_entry_locked(std::map<Timestamp, Entry>::iterator it);
 
   std::map<Timestamp, Entry> entries_;
   std::vector<SnapshotFrame> arena_;
+  std::vector<mem::SpillStore::Ticket> freed_tickets_;  ///< files reclaim() deletes
   mem::MemoryGovernor* governor_ = nullptr;
   mem::SpillStore* spill_ = nullptr;
   BufferStats stats_;

@@ -168,6 +168,7 @@ void ExportRegionState::on_export(Timestamp t, const double* local_block, Proces
 
   // Phase 5: the new export may make outstanding requests decidable.
   for (auto& c : conns_) check_local_decisions(c, ctx);
+  pool_.reclaim();
 }
 
 void ExportRegionState::send_response(Conn& conn, std::uint32_t seq, const MatchAnswer& answer,
@@ -353,6 +354,10 @@ void ExportRegionState::on_forwarded_request(const RequestMsg& msg, ProcessConte
     process_request(conn, next, ctx);
     ++conn.next_request_seq;
   }
+  // The frees above (Fig. 5 line 7, the match's drop_below) returned
+  // their entries at once; their frames and spill files go only now,
+  // after the answer and the data were sent.
+  pool_.reclaim();
 }
 
 void ExportRegionState::process_request(Conn& conn, const RequestMsg& msg,
@@ -431,6 +436,7 @@ void ExportRegionState::on_buddy_help(const AnswerMsg& msg, ProcessContext& ctx)
   // made them decidable — it cannot (decidability depends on exports), but
   // a finalized history can; keep the invariant uniform.
   check_local_decisions(conn, ctx);
+  pool_.reclaim();
 }
 
 void ExportRegionState::on_conn_closed(std::uint32_t conn_id, ProcessContext& ctx) {
@@ -453,6 +459,7 @@ void ExportRegionState::on_conn_closed(std::uint32_t conn_id, ProcessContext& ct
     if (auto f = pool_.drop(ts, conn.cfg.conn_id)) freed.push_back(*f);
   }
   trace_removed(freed, ctx);
+  pool_.reclaim();
 }
 
 std::size_t ExportRegionState::degrade_open_conns(ProcessContext& ctx) {
@@ -524,6 +531,7 @@ void ExportRegionState::finalize(ProcessContext& ctx) {
               "contract violation) on region "
                   << name_);
   }
+  pool_.reclaim();
 }
 
 }  // namespace ccf::core

@@ -43,14 +43,6 @@ std::optional<Message> Mailbox::try_receive(const MatchSpec& spec) {
   return take_match(queue_, spec);
 }
 
-bool Mailbox::probe(const MatchSpec& spec) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& m : queue_) {
-    if (spec.matches(m)) return true;
-  }
-  return false;
-}
-
 std::size_t Mailbox::pending() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return queue_.size();

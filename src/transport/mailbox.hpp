@@ -47,9 +47,6 @@ class Mailbox {
   std::optional<Message> receive_until(const MatchSpec& spec,
                                        std::chrono::steady_clock::time_point deadline);
 
-  /// True if a matching message is queued right now.
-  bool probe(const MatchSpec& spec) const;
-
   std::size_t pending() const;
 
   void close();

@@ -1039,7 +1039,8 @@ std::shared_ptr<Transport> make_transport(const TransportOptions& options,
     case TransportKind::Real:
       return std::make_shared<real::RealTransport>(options, members);
   }
-  CCF_CHECK(false, "unknown TransportKind");
+  CCF_THROW_IMPL(::ccf::util::InternalError, "make_transport",
+                 "unknown TransportKind " << static_cast<int>(options.kind));
 }
 
 }  // namespace ccf::transport

@@ -1,8 +1,11 @@
 // Export-side buffer pool tests: lifecycle, per-connection masks, stats
 // and unnecessary-time accounting (the Eq. 1/2 inputs).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <filesystem>
+#include <string>
 #include <thread>
 
 #include "core/buffer_pool.hpp"
@@ -12,9 +15,18 @@
 namespace ccf::core {
 namespace {
 
+namespace fs = std::filesystem;
 using runtime::ScriptedContext;
 
 std::vector<double> block(std::size_t n, double v) { return std::vector<double>(n, v); }
+
+std::size_t files_in(const fs::path& dir) {
+  std::size_t n = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.is_regular_file()) ++n;
+  }
+  return n;
+}
 
 TEST(BufferPoolTest, StoreCopiesDataAndChargesCost) {
   ScriptedContext ctx;
@@ -187,6 +199,83 @@ TEST(BufferPoolTest, InFlightPayloadBlocksRecycling) {
   const auto v = r.get_vector<double>();
   ASSERT_EQ(v.size(), 32u);
   for (double x : v) EXPECT_DOUBLE_EQ(x, 7.5) << "in-flight payload bytes were clobbered";
+}
+
+TEST(BufferPoolTest, FreedFramesStayParkedUntilReclaim) {
+  constexpr std::size_t kFrames = 12;
+  constexpr std::size_t kCount = 64;
+  constexpr std::size_t kBytes = kCount * sizeof(double);
+  ScriptedContext ctx;
+  mem::MemoryGovernor governor(std::size_t{1} << 20, 0.5, 0.75);
+  BufferPool pool;
+  pool.attach_memory(&governor, nullptr);
+  auto src = block(kCount, 1.0);
+  for (std::size_t k = 1; k <= kFrames; ++k) {
+    pool.store(static_cast<double>(k), src.data(), kCount, 0b1, ctx);
+  }
+  EXPECT_EQ(governor.stats().charged_bytes, kFrames * kBytes);
+
+  // The logical half happens at the drop: entries, counters, governor.
+  ASSERT_EQ(pool.drop_below(100.0, 0).size(), kFrames);
+  EXPECT_EQ(pool.size(), 0u);
+  EXPECT_EQ(pool.stats().frees_unsent, kFrames);
+  EXPECT_EQ(pool.stats().live_entries, 0u);
+  EXPECT_EQ(pool.stats().live_bytes, 0u);
+  EXPECT_DOUBLE_EQ(pool.stats().seconds_unnecessary, pool.stats().seconds_buffering);
+  EXPECT_EQ(governor.stats().charged_bytes, 0u);
+  // The physical half waits: every freed frame is parked, past the cap.
+  EXPECT_EQ(pool.arena_frames(), kFrames);
+
+  // A store in between takes a parked frame.
+  pool.store(200.0, src.data(), kCount, 0b1, ctx);
+  EXPECT_EQ(pool.stats().arena_reuses, 1u);
+  EXPECT_EQ(pool.stats().arena_allocs, kFrames);
+  EXPECT_EQ(pool.arena_frames(), kFrames - 1);
+
+  const BufferStats before = pool.stats();
+  pool.reclaim();
+  EXPECT_EQ(pool.arena_frames(), 8u);
+  // Returning frames to the heap moves no counter and no charged byte.
+  EXPECT_EQ(pool.stats().frees_unsent, before.frees_unsent);
+  EXPECT_EQ(pool.stats().live_entries, before.live_entries);
+  EXPECT_EQ(pool.stats().live_bytes, before.live_bytes);
+  EXPECT_EQ(pool.stats().arena_reuses, before.arena_reuses);
+  EXPECT_EQ(pool.stats().arena_allocs, before.arena_allocs);
+  EXPECT_EQ(governor.stats().charged_bytes, kBytes);
+
+  pool.reclaim();  // nothing freed since: a no-op
+  EXPECT_EQ(pool.arena_frames(), 8u);
+}
+
+TEST(BufferPoolTest, FreedSpillFileStaysOnDiskUntilReclaim) {
+  const fs::path dir =
+      fs::temp_directory_path() / ("ccf_pool_reclaim_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  {
+    mem::SpillStore spill(dir.string());
+    ScriptedContext ctx;
+    BufferPool pool;
+    pool.attach_memory(nullptr, &spill);
+    auto src = block(64, 1.0);
+    pool.store(1.0, src.data(), 64, 0b1, ctx);
+    ASSERT_EQ(pool.spill_out(1.0), 64 * sizeof(double));
+    EXPECT_EQ(pool.arena_frames(), 0u) << "spill_out returns its frame to the heap at once";
+    EXPECT_EQ(files_in(dir), 1u);
+
+    ASSERT_TRUE(pool.drop(1.0, 0).has_value());
+    EXPECT_EQ(pool.stats().spill_frees, 1u);
+    EXPECT_EQ(pool.stats().live_spilled_entries, 0u);
+    EXPECT_EQ(pool.stats().live_spilled_bytes, 0u);
+    EXPECT_EQ(files_in(dir), 1u) << "the file of a freed snapshot goes at reclaim()";
+    EXPECT_EQ(spill.stats().releases, 0u);
+
+    pool.reclaim();
+    EXPECT_EQ(files_in(dir), 0u);
+    EXPECT_EQ(spill.stats().releases, 1u);
+    EXPECT_EQ(spill.stats().live_entries, 0u);
+    EXPECT_EQ(pool.stats().spill_frees, 1u);
+  }
+  fs::remove_all(dir);
 }
 
 TEST(BufferPoolTest, FrameReleasedOnAnotherThreadIsReusedOnlyAfterItsReads) {

@@ -69,6 +69,45 @@ class ExportStateTest : public ::testing::Test {
   ScriptedContext ctx_;
 };
 
+/// Forwards to a ScriptedContext and records, at each send, how many
+/// freed frames the watched exporter's pool held parked: whether a handler
+/// returned its frees to the heap before or after it answered.
+class ArenaWatchContext final : public runtime::ProcessContext {
+ public:
+  struct Send {
+    Tag tag;
+    std::size_t arena_frames;
+  };
+
+  explicit ArenaWatchContext(const ExportRegionState& state) : state_(state) {}
+
+  ProcId id() const override { return inner_.id(); }
+  void send(ProcId dst, Tag tag, Payload payload) override {
+    sends_.push_back(Send{tag, state_.pool().arena_frames()});
+    inner_.send(dst, tag, std::move(payload));
+  }
+  runtime::Message recv(const runtime::MatchSpec& spec) override { return inner_.recv(spec); }
+  std::optional<runtime::Message> try_recv(const runtime::MatchSpec& spec) override {
+    return inner_.try_recv(spec);
+  }
+  std::optional<runtime::Message> recv_until(const runtime::MatchSpec& spec,
+                                            double deadline) override {
+    return inner_.recv_until(spec, deadline);
+  }
+  double now() const override { return inner_.now(); }
+  void compute(double seconds) override { inner_.compute(seconds); }
+  void copy(void* dst, const void* src, std::size_t bytes) override {
+    inner_.copy(dst, src, bytes);
+  }
+
+  const std::vector<Send>& sends() const { return sends_; }
+
+ private:
+  const ExportRegionState& state_;
+  ScriptedContext inner_;
+  std::vector<Send> sends_;
+};
+
 TEST_F(ExportStateTest, BuffersEverythingBeforeAnyRequest) {
   auto state = make_state(MatchPolicy::REGL, 2.5);
   for (int k = 1; k <= 5; ++k) do_export(state, 0.6 + k);
@@ -90,6 +129,26 @@ TEST_F(ExportStateTest, RequestFreesBelowRegionAndRepliesPending) {
   EXPECT_EQ(state.pool().size(), 0u);
   const auto stats = state.stats_snapshot();
   EXPECT_EQ(stats.buffer.frees_unsent, 14u);
+}
+
+TEST_F(ExportStateTest, RequestIsAnsweredBeforeFreedFramesAreReclaimed) {
+  auto state = make_state(MatchPolicy::REGL, 2.5);
+  for (int k = 1; k <= 20; ++k) do_export(state, 0.6 + k);  // 1.6..20.6, all buffered
+  ASSERT_EQ(state.pool().arena_frames(), 0u);
+
+  // Region [11.5, 14]: the floor frees the ten snapshots 1.6..10.6 (Fig. 5
+  // line 7), the answer is MATCH 13.6, which frees 11.6 and 12.6 and ships
+  // 13.6 from the buffer.
+  ArenaWatchContext ctx(state);
+  state.on_forwarded_request(RequestMsg{0, 0, 14.0}, ctx);
+  ASSERT_EQ(ctx.sends().size(), 2u);
+  EXPECT_EQ(ctx.sends()[0].tag, kTagProcResponse);
+  EXPECT_EQ(ctx.sends()[0].arena_frames, 10u);
+  EXPECT_EQ(ctx.sends()[1].tag, data_tag(0, 0));
+  EXPECT_EQ(ctx.sends()[1].arena_frames, 12u);
+  // The handler trims the arena back to its capacity only on return.
+  EXPECT_EQ(state.pool().arena_frames(), 8u);
+  EXPECT_EQ(state.stats_snapshot().buffer.frees_unsent, 12u);
 }
 
 TEST_F(ExportStateTest, PaperFigure7WithBuddyHelp) {

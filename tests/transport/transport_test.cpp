@@ -181,14 +181,15 @@ TEST(MailboxTest, FifoAmongMatching) {
   }
 }
 
-TEST(MailboxTest, TryReceiveAndProbe) {
+TEST(MailboxTest, TryReceiveTakesOnlyMatches) {
   Mailbox box;
   EXPECT_FALSE(box.try_receive(MatchSpec{}).has_value());
-  EXPECT_FALSE(box.probe(MatchSpec{}));
   box.deliver(make_msg(1, 0, 3));
-  EXPECT_TRUE(box.probe(MatchSpec{1, 3}));
-  EXPECT_FALSE(box.probe(MatchSpec{1, 4}));
-  EXPECT_TRUE(box.try_receive(MatchSpec{1, 3}).has_value());
+  EXPECT_FALSE(box.try_receive(MatchSpec{1, 4}).has_value());
+  EXPECT_EQ(box.pending(), 1u);
+  const auto m = box.try_receive(MatchSpec{1, 3});
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->tag, 3);
   EXPECT_EQ(box.pending(), 0u);
 }
 
