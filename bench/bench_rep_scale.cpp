@@ -14,7 +14,9 @@
 // serialization. --json emits one machine-readable object for
 // bench/run_benches, which gates on the structural counters only
 // (identical answers, flat per-rank inbound, frame books) — never on
-// timings.
+// timings. --retry-timeout runs every point in failure-tolerant mode
+// (FrameworkOptions::retry_timeout_seconds); on this lossless fabric the
+// answers must not change.
 #include <cmath>
 #include <cstdio>
 #include <iostream>
@@ -49,7 +51,8 @@ struct Row {
   double end_time = 0;
 };
 
-Row run_point(int ranks, int fanin, int shards, int requests_per_conn, int flush_count) {
+Row run_point(int ranks, int fanin, int shards, int requests_per_conn, int flush_count,
+              double retry_timeout) {
   core::Config config;
   core::ProgramSpec e_spec{"E", "h", "/e", ranks, {}};
   e_spec.rep_fanin = fanin;
@@ -66,6 +69,7 @@ Row run_point(int ranks, int fanin, int shards, int requests_per_conn, int flush
   cluster.latency = std::make_shared<const transport::FixedLatency>(1e-3);
   core::FrameworkOptions fw;
   fw.rep_dispatch_seconds = 1e-5;  // control-path serialization cost
+  fw.retry_timeout_seconds = retry_timeout;
   core::CoupledSystem system(config, cluster, fw);
 
   // Smallest power-of-two square wide enough that make_grid can factor
@@ -169,6 +173,8 @@ int main(int argc, char** argv) {
   cli.add_option("flushes", "4",
                  "pipelined-aggregation tree_flush_count values added per treed "
                  "fan-in (0, the per-wave baseline, always runs)");
+  cli.add_option("retry-timeout", "0",
+                 "failure-tolerance retry timeout in seconds (0 = lossless mode)");
   cli.add_flag("sharded", "add a fanin=max,shards=2 point per rank count");
   cli.add_flag("json", "emit machine-readable JSON instead of the table");
   if (!cli.parse(argc, argv)) return 0;
@@ -177,19 +183,21 @@ int main(int argc, char** argv) {
   const auto fanins = util::parse_int_list(cli.get("fanins"));
   const auto flushes = util::parse_int_list(cli.get("flushes"));
   const int requests = static_cast<int>(cli.get_int("requests"));
+  const double retry_timeout = cli.get_double("retry-timeout");
   const bool json = cli.get_bool("json");
 
   std::vector<Row> rows;
   for (long long n : ranks) {
     for (long long f : fanins) {
-      rows.push_back(run_point(static_cast<int>(n), static_cast<int>(f), 1, requests, 0));
+      rows.push_back(
+          run_point(static_cast<int>(n), static_cast<int>(f), 1, requests, 0, retry_timeout));
       // Pipelined-aggregation dimension: same point with partial frames
       // flushed every `flush` entries instead of once per drained wave.
       if (f >= 2 && n > f) {
         for (long long flush : flushes) {
           if (flush <= 0) continue;
           rows.push_back(run_point(static_cast<int>(n), static_cast<int>(f), 1, requests,
-                                   static_cast<int>(flush)));
+                                   static_cast<int>(flush), retry_timeout));
         }
       }
     }
@@ -198,7 +206,8 @@ int main(int argc, char** argv) {
       for (long long f : fanins) fmax = std::max(fmax, f);
       if (fmax >= 2) {
         rows.push_back(
-            run_point(static_cast<int>(n), static_cast<int>(fmax), 2, requests, 0));
+            run_point(static_cast<int>(n), static_cast<int>(fmax), 2, requests, 0,
+                      retry_timeout));
       }
     }
   }

@@ -188,8 +188,8 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
 
   // Importer-side answer cache: replays the ImportAnswer broadcast when a
   // proc retries a request whose answer already came back (the original
-  // broadcast — or the proc's request — was lost). Grows with the number
-  // of requests, like the exporter-side aggregator state.
+  // broadcast — or the proc's request — was lost). Grows by one answer per
+  // request, like the exporter-side aggregator's answer map.
   std::map<std::pair<std::uint32_t, std::uint32_t>, AnswerMsg> import_answers;
 
   auto ship_conn_meta = [&](int conn) {
@@ -257,16 +257,16 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
   };
 
   auto all_finished = [&] {
-    // Tolerant mode: every resend ledger must be settled (the heartbeat
-    // tick repairs what is not).
-    if (reliable_finish &&
-        (conn_finished_resend.acked.size() < import_conns_done.size() ||
-         silent_ranks_remain() || static_cast<int>(meta_resend.acked.size()) < pl.nprocs ||
-         peer_meta_resend.acked.size() < own_conns.size())) {
+    if (!meta_broadcast || !import_side_done() ||
+        export_conns_finished.size() != export_conns.size()) {
       return false;
     }
-    return meta_broadcast && import_side_done() &&
-           export_conns_finished.size() == export_conns.size();
+    // Tolerant mode: every resend ledger must be settled too (the heartbeat
+    // tick repairs what is not).
+    return !reliable_finish ||
+           (conn_finished_resend.acked.size() >= import_conns_done.size() &&
+            !silent_ranks_remain() && static_cast<int>(meta_resend.acked.size()) >= pl.nprocs &&
+            peer_meta_resend.acked.size() >= own_conns.size());
   };
 
   // One control message, plain or reconstructed from an up-frame entry
@@ -374,11 +374,10 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
         auto agg = aggregators.find(static_cast<int>(req.conn));
         CCF_CHECK(agg != aggregators.end(),
                   "request forwarded to non-exporter of connection " << req.conn);
-        if (agg->second.is_answered(req.seq)) {
+        if (const AnswerMsg* answer = agg->second.answer_of(req.seq)) {
           // Duplicate of an answered request: the RepAnswer may have been
-          // lost on the way back — resend it from the aggregator's cache.
-          ctx.send(peer_rep_of(static_cast<int>(req.conn)), kTagRepAnswer,
-                   agg->second.answer_of(req.seq).encode());
+          // lost on the way back — resend it from the aggregator's answers.
+          ctx.send(peer_rep_of(static_cast<int>(req.conn)), kTagRepAnswer, answer->encode());
           ++result.answers_resent;
           break;
         }
@@ -405,8 +404,7 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
           ++result.answers_sent;
         }
         if (!actions.buddy_help_ranks.empty()) {
-          const AnswerMsg& answer = agg->second.answer_of(resp.seq);
-          const transport::Payload help_payload = answer.encode();
+          const transport::Payload help_payload = agg->second.answer_of(resp.seq)->encode();
           for (int r : actions.buddy_help_ranks) {
             down.to_rank(r, kTagBuddyHelp, help_payload);
             ++result.buddy_helps_sent;
@@ -417,12 +415,7 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
         if (conn_closed_pending.count(static_cast<int>(resp.conn)) &&
             agg->second.rank_answered_all(rank)) {
           down.to_rank(rank, kTagConnClosed, ConnMsg{resp.conn}.encode());
-          if ([&] {
-                for (int r = 0; r < pl.nprocs; ++r) {
-                  if (!agg->second.rank_answered_all(r)) return false;
-                }
-                return true;
-              }()) {
+          if (agg->second.unresponsive_ranks().empty()) {
             conn_closed_pending.erase(static_cast<int>(resp.conn));
           }
         }
@@ -583,8 +576,7 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
   result.frames_out = down.counts().frames;
   result.frame_entries_out = down.counts().frame_entries;
   for (const auto& [conn, agg] : aggregators) {
-    const auto& log = agg.answer_log();
-    result.answers.insert(result.answers.end(), log.begin(), log.end());
+    for (const auto& [seq, answer] : agg.answers()) result.answers.push_back(answer);
   }
   return result;
 }

@@ -51,8 +51,8 @@ struct RepCounters {
 
 struct RepResult : RepCounters {
   /// Observation hook: every collective answer determined on exported
-  /// connections, ordered by (connection, determination order). The model-
-  /// checking conformance checker compares this against the oracle.
+  /// connections, ordered by (connection, seq). The model-checking
+  /// conformance checker compares this against the oracle.
   std::vector<AnswerMsg> answers;
 };
 

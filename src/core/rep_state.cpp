@@ -12,38 +12,26 @@ RequestAggregator::RequestAggregator(int nprocs, bool buddy_help)
 }
 
 void RequestAggregator::open(const RequestMsg& request) {
-  CCF_REQUIRE(!requests_.count(request.seq),
-              "request seq " << request.seq << " already open");
-  RequestState state;
-  state.requested = request.requested;
-  state.conn = request.conn;
-  requests_.emplace(request.seq, std::move(state));
+  CCF_REQUIRE(!open_.count(request.seq) && !answers_.count(request.seq),
+              "request seq " << request.seq << " already opened");
+  open_.emplace(request.seq,
+                OpenRequest{request,
+                            std::vector<Reply>(static_cast<std::size_t>(nprocs_), Reply::Silent),
+                            nprocs_});
 }
 
 RequestAggregator::Actions RequestAggregator::on_response(int rank, const ResponseMsg& response) {
   CCF_REQUIRE(rank >= 0 && rank < nprocs_, "response from rank " << rank << " outside program");
-  auto it = requests_.find(response.seq);
-  CCF_CHECK(it != requests_.end(),
+  auto it = open_.find(response.seq);
+  auto known = answers_.find(response.seq);
+  CCF_CHECK(it != open_.end() || known != answers_.end(),
             "response for unknown request seq " << response.seq << " on conn " << response.conn);
-  RequestState& state = it->second;
+  const bool decisive = response.result != MatchResult::Pending;
 
-  Actions actions;
-  if (response.result == MatchResult::Pending) {
-    state.pending_ranks.insert(rank);
-    // A PENDING after the request was answered: this is exactly the
-    // straggler buddy-help exists for — help it right away.
-    if (buddy_help_ && state.answer && !state.decisive_ranks.count(rank) &&
-        !state.helped_ranks.count(rank)) {
-      state.helped_ranks.insert(rank);
-      ++buddy_helps_issued_;
-      actions.buddy_help_ranks.push_back(rank);
-    }
-    return actions;
-  }
-
-  // Decisive response: validate the collective contract.
-  if (state.answer) {
-    const AnswerMsg& a = *state.answer;
+  // Decisive response: validate the collective contract — also for a
+  // settled request, where a decision may have crossed its help.
+  if (decisive && known != answers_.end()) {
+    const AnswerMsg& a = known->second;
     if (a.result != response.result ||
         (a.result == MatchResult::Match && a.matched != response.matched)) {
       std::ostringstream os;
@@ -54,72 +42,77 @@ RequestAggregator::Actions RequestAggregator::on_response(int rank, const Respon
       if (a.result == MatchResult::Match) os << " @" << a.matched;
       throw util::ProtocolViolation(os.str());
     }
-    state.pending_ranks.erase(rank);
-    state.decisive_ranks.insert(rank);
-    return actions;
   }
 
-  // First decisive response determines the collective answer.
-  AnswerMsg answer;
-  answer.conn = response.conn;
-  answer.seq = response.seq;
-  answer.requested = state.requested;
-  answer.result = response.result;
-  answer.matched = response.matched;
-  state.answer = answer;
-  answer_log_.push_back(answer);
-  state.pending_ranks.erase(rank);
-  state.decisive_ranks.insert(rank);
-  actions.answer_importer = answer;
-
-  if (buddy_help_) {
-    // Help everyone who answered PENDING so far; ranks that have not
-    // responded yet get helped when their PENDING arrives (see above).
-    for (int r : state.pending_ranks) {
-      if (!state.helped_ranks.count(r)) {
-        state.helped_ranks.insert(r);
-        ++buddy_helps_issued_;
-        actions.buddy_help_ranks.push_back(r);
+  Actions actions;
+  // A settled request has every rank decided or helped: a late response
+  // changes nothing.
+  if (it == open_.end()) return actions;
+  OpenRequest& req = it->second;
+  Reply& reply = req.replies[static_cast<std::size_t>(rank)];
+  if (!decisive) {
+    if (reply != Reply::Silent) return actions;
+    if (!buddy_help_ || known == answers_.end()) {
+      reply = Reply::Pending;
+      return actions;
+    }
+    // A PENDING after the request was answered: this is exactly the
+    // straggler buddy-help exists for — help it right away.
+    reply = Reply::Helped;
+    --req.unsettled;
+    actions.buddy_help_ranks.push_back(rank);
+  } else {
+    if (reply == Reply::Silent || reply == Reply::Pending) --req.unsettled;
+    reply = Reply::Decided;
+    if (known == answers_.end()) {
+      // First decisive response determines the collective answer.
+      const AnswerMsg answer{response.conn, response.seq, req.request.requested,
+                             response.result, response.matched};
+      answers_.emplace(response.seq, answer);
+      actions.answer_importer = answer;
+      if (buddy_help_) {
+        // Help everyone who answered PENDING so far; ranks that have not
+        // responded yet get helped when their PENDING arrives (see above).
+        for (int r = 0; r < nprocs_; ++r) {
+          Reply& other = req.replies[static_cast<std::size_t>(r)];
+          if (other != Reply::Pending) continue;
+          other = Reply::Helped;
+          --req.unsettled;
+          actions.buddy_help_ranks.push_back(r);
+        }
       }
     }
   }
+  if (req.unsettled == 0) open_.erase(it);
   return actions;
 }
 
 std::vector<RequestAggregator::Unresponsive> RequestAggregator::unresponsive_ranks() const {
   std::vector<Unresponsive> out;
-  for (const auto& [seq, state] : requests_) {
+  for (const auto& [seq, req] : open_) {
     Unresponsive u;
     for (int rank = 0; rank < nprocs_; ++rank) {
-      if (!state.pending_ranks.count(rank) && !state.decisive_ranks.count(rank)) {
-        u.ranks.push_back(rank);
-      }
+      if (req.replies[static_cast<std::size_t>(rank)] == Reply::Silent) u.ranks.push_back(rank);
     }
     if (u.ranks.empty()) continue;
-    u.request = RequestMsg{state.conn, seq, state.requested};
+    u.request = req.request;
     out.push_back(std::move(u));
   }
   return out;
 }
 
 bool RequestAggregator::rank_answered_all(int rank) const {
-  for (const auto& [seq, state] : requests_) {
-    if (!state.pending_ranks.count(rank) && !state.decisive_ranks.count(rank)) return false;
+  for (const auto& [seq, req] : open_) {
+    if (req.replies[static_cast<std::size_t>(rank)] == Reply::Silent) return false;
   }
   return true;
 }
 
-bool RequestAggregator::is_open(std::uint32_t seq) const { return requests_.count(seq) > 0; }
+bool RequestAggregator::is_open(std::uint32_t seq) const { return open_.count(seq) > 0; }
 
-bool RequestAggregator::is_answered(std::uint32_t seq) const {
-  auto it = requests_.find(seq);
-  return it != requests_.end() && it->second.answer.has_value();
-}
-
-const AnswerMsg& RequestAggregator::answer_of(std::uint32_t seq) const {
-  auto it = requests_.find(seq);
-  CCF_CHECK(it != requests_.end() && it->second.answer, "no answer for seq " << seq);
-  return *it->second.answer;
+const AnswerMsg* RequestAggregator::answer_of(std::uint32_t seq) const {
+  auto it = answers_.find(seq);
+  return it == answers_.end() ? nullptr : &it->second;
 }
 
 }  // namespace ccf::core

@@ -12,14 +12,19 @@
 // already answered PENDING, and reactively when a late PENDING arrives
 // after the answer was determined.
 //
+// An open request holds one reply byte per rank. It settles — and drops
+// that state — once it is answered and every rank has decided or been
+// helped; only its answer outlives it, so a late decisive response is
+// still checked against the collective answer.
+//
 // This class is pure state (no I/O) so the aggregation and legality rules
 // are unit-testable in isolation; rep.cpp wires it to messages.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "core/protocol.hpp"
@@ -44,8 +49,9 @@ class RequestAggregator {
   Actions on_response(int rank, const ResponseMsg& response);
 
   bool is_open(std::uint32_t seq) const;
-  bool is_answered(std::uint32_t seq) const;
-  const AnswerMsg& answer_of(std::uint32_t seq) const;
+  /// The collective answer of `seq`, or null until it is determined.
+  const AnswerMsg* answer_of(std::uint32_t seq) const;
+  std::size_t open_requests() const { return open_.size(); }
 
   /// Requests with ranks that have not responded at all — the ProcForward
   /// (or the response) may have been lost. Even for answered requests a
@@ -65,28 +71,23 @@ class RequestAggregator {
   /// still-in-flight (delayed) forward would later need.
   bool rank_answered_all(int rank) const;
 
-  std::uint64_t buddy_helps_issued() const { return buddy_helps_issued_; }
-
-  /// Observation hook: every collective answer this aggregator determined,
-  /// in determination order (model-checking conformance interface; append-
-  /// only, never consulted by the protocol itself).
-  const std::vector<AnswerMsg>& answer_log() const { return answer_log_; }
+  /// Every collective answer this aggregator determined, by seq: the
+  /// replay cache for duplicate forwards and the model-checking
+  /// conformance interface.
+  const std::map<std::uint32_t, AnswerMsg>& answers() const { return answers_; }
 
  private:
-  struct RequestState {
-    Timestamp requested = 0;
-    std::uint32_t conn = 0;
-    std::set<int> pending_ranks;   ///< answered PENDING, no decisive yet
-    std::set<int> decisive_ranks;  ///< produced a decisive answer
-    std::set<int> helped_ranks;    ///< buddy-help sent
-    std::optional<AnswerMsg> answer;
+  enum class Reply : std::uint8_t { Silent, Pending, Helped, Decided };
+  struct OpenRequest {
+    RequestMsg request;
+    std::vector<Reply> replies;  ///< indexed by rank
+    int unsettled = 0;           ///< ranks still Silent or Pending
   };
 
   int nprocs_;
   bool buddy_help_;
-  std::map<std::uint32_t, RequestState> requests_;
-  std::uint64_t buddy_helps_issued_ = 0;
-  std::vector<AnswerMsg> answer_log_;
+  std::map<std::uint32_t, OpenRequest> open_;
+  std::map<std::uint32_t, AnswerMsg> answers_;
 };
 
 }  // namespace ccf::core

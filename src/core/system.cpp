@@ -12,8 +12,8 @@ namespace {
 
 /// Folds per-shard rep results into one program-wide view: counters are
 /// summed and answers re-grouped by connection (each shard already lists
-/// its owned connections' answers in determination order, so a stable sort
-/// by connection reproduces the single-shard ordering).
+/// its owned connections' answers in seq order, so a stable sort by
+/// connection reproduces the single-shard ordering).
 RepResult merge_rep_shards(const std::vector<RepResult>& shards) {
   RepResult merged;
   static_cast<RepCounters&>(merged) = sum_counters<RepCounters>(shards);

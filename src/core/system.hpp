@@ -60,7 +60,7 @@ class CoupledSystem {
 
   /// Program-wide rep counters and answers (valid after run()). With a
   /// sharded rep this is the merge over all shards: counters summed,
-  /// answers re-grouped by connection in determination order.
+  /// answers re-grouped by connection in seq order.
   const RepResult& rep_result(const std::string& program) const;
 
   /// Aggregation-tree relay counters summed over the program's sub-reps

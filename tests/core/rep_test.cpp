@@ -98,6 +98,49 @@ TEST(RepLoop, FullExporterLifecycle) {
   EXPECT_EQ(ctx.sent_with_tag(kTagShutdownProc).size(), 2u);
 }
 
+TEST(RepLoop, DuplicateForwardOfSettledRequestReplaysTheAnswer) {
+  const Config config = exporter_config();
+  const DeploymentLayout layout(config);
+  const ProgramLayout& e = layout.program("E");
+  const ProgramLayout& i = layout.program("I");
+
+  ScriptedContext ctx(e.rep);
+  ctx.push_inbox(msg(e.proc(0), e.rep, kTagRegionDefs, region_defs_payload()));
+  ctx.push_inbox(msg(i.rep, e.rep, kTagPeerRegionMeta, peer_meta_payload(0)));
+  // Proc 1 PENDING, proc 0 MATCH: proc 1 is helped and the request settles.
+  ctx.push_inbox(msg(i.rep, e.rep, kTagRequestForward, RequestMsg{0, 0, 20.0}.encode()));
+  ctx.push_inbox(msg(e.proc(1), e.rep, kTagProcResponse,
+                     ResponseMsg{0, 0, MatchResult::Pending, kNeverExported, 14.6}.encode()));
+  ctx.push_inbox(msg(e.proc(0), e.rep, kTagProcResponse,
+                     ResponseMsg{0, 0, MatchResult::Match, 19.6, 20.6}.encode()));
+  // The importer rep retries (its RepAnswer was lost), and proc 1's own
+  // decision, which crossed the help, arrives after settling.
+  ctx.push_inbox(msg(i.rep, e.rep, kTagRequestForward, RequestMsg{0, 0, 20.0}.encode()));
+  ctx.push_inbox(msg(e.proc(1), e.rep, kTagProcResponse,
+                     ResponseMsg{0, 0, MatchResult::Match, 19.6, 20.6}.encode()));
+  ctx.push_inbox(msg(i.rep, e.rep, kTagConnFinished, ConnMsg{0}.encode()));
+
+  const RepResult result = run_rep(ctx, config, layout, "E");
+  EXPECT_EQ(result.requests_forwarded, 1u);
+  EXPECT_EQ(result.answers_sent, 1u);
+  EXPECT_EQ(result.answers_resent, 1u);
+  EXPECT_EQ(result.duplicates_ignored, 0u);
+  EXPECT_EQ(result.buddy_helps_sent, 1u);
+  EXPECT_EQ(result.responses_received, 3u);
+  // The duplicate forward is answered from the answer map: no new
+  // ProcForward, and the replayed RepAnswer equals the first one.
+  EXPECT_EQ(ctx.sent_with_tag(kTagProcForward).size(), 2u);
+  const auto answers = ctx.sent_with_tag(kTagRepAnswer);
+  ASSERT_EQ(answers.size(), 2u);
+  EXPECT_EQ(answers[1].dst, i.rep);
+  const AnswerMsg replayed = AnswerMsg::decode(answers[1].payload);
+  EXPECT_EQ(replayed.seq, 0u);
+  EXPECT_EQ(replayed.result, MatchResult::Match);
+  EXPECT_DOUBLE_EQ(replayed.matched, 19.6);
+  ASSERT_EQ(result.answers.size(), 1u);
+  EXPECT_DOUBLE_EQ(result.answers[0].matched, 19.6);
+}
+
 TEST(RepLoop, FlatSingleShardPayloadsLeadWithShardZero) {
   // The shard id is on the wire in every topology, the depth-0 single
   // shard included.

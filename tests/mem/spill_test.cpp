@@ -25,12 +25,18 @@ std::vector<std::byte> random_bytes(std::size_t n, std::uint32_t seed) {
 
 class SpillStoreTest : public ::testing::Test {
  protected:
+  /// The test's own directory, emptied before it runs and removed after.
   std::string tmp_dir() {
+    fs::remove_all(dir());
+    return dir().string();
+  }
+
+  void TearDown() override { fs::remove_all(dir()); }
+
+ private:
+  static fs::path dir() {
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    fs::path dir = fs::temp_directory_path() /
-                   (std::string("ccf_spill_") + info->name());
-    fs::remove_all(dir);
-    return dir.string();
+    return fs::temp_directory_path() / (std::string("ccf_spill_") + info->name());
   }
 };
 

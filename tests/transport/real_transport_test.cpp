@@ -219,6 +219,12 @@ TEST(RealTransport, HostileBytesOnTheListenerAreRejectedWithoutDamage) {
   const std::string rendezvous =
       ::testing::TempDir() + "/ccf_hostile_rendezvous_" +
       std::to_string(::getpid()) + ".txt";
+  // The transport unlinks only rendezvous files it named itself: remove
+  // this one on every exit, a failed ASSERT included.
+  struct RemoveOnExit {
+    const std::string& path;
+    ~RemoveOnExit() { ::unlink(path.c_str()); }
+  } remove_rendezvous{rendezvous};
   TransportOptions opt;
   opt.kind = TransportKind::Real;
   opt.node_of[1] = 1;
